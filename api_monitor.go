@@ -106,8 +106,8 @@ func DisabledMetrics() *MetricsRegistry { return obs.Disabled() }
 // log segments as record-aligned chunks, and a MonitorFollower tails
 // them into its own WAL directory as a read-only replica that can be
 // promoted to a writable primary at the record boundary it has applied.
-// cfdserve serves the primary side as GET /wal/snapshot and
-// GET /wal/stream, and runs the follower side with -follow.
+// cfdserve serves the primary side as GET /v1/wal/snapshot and
+// GET /v1/wal/stream, and runs the follower side with -follow.
 type (
 	// MonitorFollower is a hot standby: a read-only Monitor tailing a
 	// primary's WAL stream. See FollowMonitor.
@@ -130,7 +130,7 @@ type (
 // Replication errors.
 var (
 	// ErrMonitorReadOnly reports a mutation against a following monitor;
-	// promote it first (MonitorFollower.Promote, POST /promote).
+	// promote it first (MonitorFollower.Promote, POST /v1/promote).
 	ErrMonitorReadOnly = incremental.ErrReadOnly
 	// ErrMonitorFenced reports a write refused because the node is
 	// fenced: a higher-epoch history exists (a standby was promoted),
@@ -171,7 +171,9 @@ func NewMonitorChunkSource(m *Monitor) WALChunkSource {
 // feed it with Monitor.Insert. With opts.Durable set, every mutation is
 // journaled to a write-ahead log before it is applied, and a directory
 // that already holds journaled state is recovered (latest snapshot + log
-// tail) instead of starting empty.
+// tail) instead of starting empty. NewMonitor, like LoadMonitor,
+// OpenMonitor and FollowMonitor, refuses a Σ that no nonempty instance
+// satisfies (see Consistent).
 func NewMonitor(schema *Schema, sigma []*CFD, opts MonitorOptions) (*Monitor, error) {
 	return incremental.New(schema, sigma, opts)
 }

@@ -287,20 +287,20 @@ func (b *bench) flushEnvelope(dir string, k, writers int) time.Duration {
 // responses come back, and admissions the saturated client pool cannot
 // absorb are counted as shed instead of silently stretching the loop —
 // with rate 0 each client runs closed-loop, back to back. A non-empty
-// -insert-values row makes every request a POST /insert of that tuple
-// (each gets a fresh key); empty means GET /violations, the read path.
+// -insert-values row makes every request a POST /v1/insert of that tuple
+// (each gets a fresh key); empty means GET /v1/violations, the read path.
 // With both -insert-values and -read-frac F, each request is a read
 // with probability F and an insert otherwise — a mixed read/write load
 // against one URL, the shape a monitor dashboard plus its feed produce.
 func (b *bench) serveBench(base string, clients int, rate float64, dur time.Duration, insert string, readFrac float64) {
-	method, path := http.MethodGet, "/violations"
+	method, path := http.MethodGet, "/v1/violations"
 	var body []byte
 	if insert != "" {
 		buf, err := json.Marshal(map[string]any{"values": strings.Split(insert, ",")})
 		if err != nil {
 			b.fatal(err)
 		}
-		body, method, path = buf, http.MethodPost, "/insert"
+		body, method, path = buf, http.MethodPost, "/v1/insert"
 	}
 	if readFrac < 0 || readFrac > 1 {
 		b.fatal(fmt.Errorf("-read-frac %v: want a fraction in [0,1]", readFrac))
@@ -328,7 +328,7 @@ func (b *bench) serveBench(base string, clients int, rate float64, dur time.Dura
 			// the requested mix without a shared RNG.
 			n := seq.Add(1)
 			if uint64(float64(n)*readFrac) != uint64(float64(n-1)*readFrac) {
-				m, p, bd, isRead = http.MethodGet, "/violations", nil, true
+				m, p, bd, isRead = http.MethodGet, "/v1/violations", nil, true
 			}
 		}
 		req, err := http.NewRequest(m, base+p, bytes.NewReader(bd))

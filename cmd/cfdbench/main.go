@@ -43,7 +43,7 @@
 // concurrent HTTP clients fire at a live cfdserve or cfdrouter for
 // -duration, open-loop at -rate req/s (or closed-loop at rate 0), and
 // report qps with p50/p95/p99 latency; -insert-values picks the write
-// path (POST /insert) over the default read path (GET /violations).
+// path (POST /v1/insert) over the default read path (GET /v1/violations).
 //
 // With -json the tables are suppressed and a single JSON array of
 // measurements is written to stdout, so a per-PR perf trajectory
@@ -84,8 +84,8 @@ func main() {
 		clients    = flag.Int("clients", 8, "serving driver: concurrent HTTP clients")
 		rate       = flag.Float64("rate", 0, "serving driver: aggregate open-loop admission rate in req/s (0 = closed loop)")
 		duration   = flag.Duration("duration", 10*time.Second, "serving driver: how long to fire")
-		insertVals = flag.String("insert-values", "", "serving driver: comma-separated tuple values to POST /insert (empty: GET /violations)")
-		readFrac   = flag.Float64("read-frac", 0, "serving driver: with -insert-values, fraction of requests issued as GET /violations reads (0..1)")
+		insertVals = flag.String("insert-values", "", "serving driver: comma-separated tuple values to POST /v1/insert (empty: GET /v1/violations)")
+		readFrac   = flag.Float64("read-frac", 0, "serving driver: with -insert-values, fraction of requests issued as GET /v1/violations reads (0..1)")
 	)
 	flag.Parse()
 	sel := map[string]bool{}

@@ -54,14 +54,7 @@ func run(dataPath, cfdPath, outPath string, maxPasses int, verbose bool) (int, e
 	if err != nil {
 		return 2, err
 	}
-	// An inconsistent Σ has no repair at all (Section 3): refuse up
-	// front rather than looping toward an impossible certificate.
-	if ok, _, err := repro.Consistent(rel.Schema, sigma); err != nil {
-		return 2, err
-	} else if !ok {
-		return 2, fmt.Errorf("the CFD set is inconsistent: no instance can satisfy it")
-	}
-
+	// LoadMonitor refuses an inconsistent Σ, which has no repair at all.
 	m, err := repro.LoadMonitor(rel, sigma, repro.MonitorOptions{})
 	if err != nil {
 		return 2, err

@@ -1,21 +1,21 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
 // TestRouterErrorEnvelope is the router half of the uniform error
 // contract: every non-2xx response is {"error": {"code", "message"}}
-// with the documented code, on the /v1 spellings and the legacy
-// aliases alike.
+// with the documented code, and only the /v1 spellings exist.
 func TestRouterErrorEnvelope(t *testing.T) {
 	schema, sigma := custFixture(t)
 	m, err := repro.NewMonitor(schema, sigma, repro.MonitorOptions{})
@@ -31,7 +31,7 @@ func TestRouterErrorEnvelope(t *testing.T) {
 
 	do := func(method, path, body string) (int, map[string]any) {
 		t.Helper()
-		req, err := http.NewRequest(method, url+path, bytes.NewReader([]byte(body)))
+		req, err := http.NewRequest(method, url+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +48,8 @@ func TestRouterErrorEnvelope(t *testing.T) {
 		return resp.StatusCode, v
 	}
 
+	// A body just over the bound, inside a well-formed JSON string.
+	oversized := `{"ops":[{"op":"insert","values":["` + strings.Repeat("x", httpapi.MaxBodyBytes) + `"]}]}`
 	tests := []struct {
 		name       string
 		method     string
@@ -58,7 +60,8 @@ func TestRouterErrorEnvelope(t *testing.T) {
 	}{
 		{"method not allowed", http.MethodGet, "/v1/insert", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad JSON body", http.MethodPost, "/v1/apply", "{", http.StatusBadRequest, "bad_request"},
-		{"bad JSON on legacy alias", http.MethodPost, "/apply", "{", http.StatusBadRequest, "bad_request"},
+		{"unversioned apply", http.MethodPost, "/apply", "{}", http.StatusNotFound, "not_found"},
+		{"oversized body", http.MethodPost, "/v1/apply", oversized, http.StatusRequestEntityTooLarge, "too_large"},
 		{"keyless delete op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"delete"}]}`, http.StatusBadRequest, "bad_request"},
 		{"unknown op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"merge"}]}`, http.StatusBadRequest, "bad_request"},
 		{"bad ring key", http.MethodGet, "/v1/ring?key=zap", "", http.StatusBadRequest, "bad_request"},

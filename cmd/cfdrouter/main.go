@@ -16,20 +16,20 @@
 // the write instead of forking history; a 403 whose envelope carries
 // code "fenced" makes the router re-query the node's epoch and retry
 // once, which heals the case where an operator promoted a standby
-// behind a stable primary address. POST /promote fails a group over to
+// behind a stable primary address. POST /v1/promote fails a group over to
 // its first standby and re-points writes with no re-seeding: the
 // standby already holds the replicated state.
 //
-// Endpoints live under /v1 with deprecated unversioned aliases (kept
-// one release; see docs/operations.md): /v1/insert /v1/delete
-// /v1/update /v1/apply (the cfdserve mutation shapes, minus the choice
-// of node), /v1/violations (cluster-wide total), /v1/repairs (per-group
-// fan-out of the shards' live repair suggestions; /v1 only), /v1/stats
-// (router view; ?shards=1 fans out per-group node stats), /v1/ring
-// (ownership probe), /v1/promote, /v1/metrics. Failures use the same
-// error envelope as cfdserve: {"error": {"code", "message", ...}}.
+// Endpoints live under /v1 (see docs/operations.md); any other path
+// answers 404: /v1/insert /v1/delete /v1/update /v1/apply (the cfdserve
+// mutation shapes, minus the choice of node), /v1/violations
+// (cluster-wide total), /v1/repairs (per-group fan-out of the shards'
+// live repair suggestions), /v1/stats (router view; ?shards=1 fans out
+// per-group node stats), /v1/ring (ownership probe), /v1/promote,
+// /v1/metrics. Failures use the same error envelope as cfdserve:
+// {"error": {"code", "message", ...}}.
 //
-// Reads fan out: /violations and /stats?shards=1 accept
+// Reads fan out: /v1/violations and /v1/stats?shards=1 accept
 // ?consistency=primary|any. "primary" (the default) serves every
 // group's read from its current primary; "any" round-robins the primary
 // and the group's standbys, skipping any standby that is fenced behind
@@ -65,83 +65,11 @@ import (
 
 	"repro"
 	"repro/internal/cliutil"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
 var processStart = time.Now()
-
-// --- wire shapes shared with cfdserve ---
-
-type wireOp struct {
-	Op     string   `json:"op"`
-	Values []string `json:"values,omitempty"`
-	Key    *int64   `json:"key,omitempty"`
-	Attr   string   `json:"attr,omitempty"`
-	Value  string   `json:"value,omitempty"`
-}
-
-type wireChange struct {
-	CFD   int      `json:"cfd"`
-	Kind  string   `json:"kind"`
-	Tuple *int64   `json:"tuple,omitempty"`
-	Key   []string `json:"key,omitempty"`
-}
-
-type wireDelta struct {
-	Added   []wireChange `json:"added"`
-	Removed []wireChange `json:"removed"`
-}
-
-func toWireDelta(d *repro.ViolationDelta) wireDelta {
-	conv := func(cs []repro.ViolationChange) []wireChange {
-		out := make([]wireChange, 0, len(cs))
-		for _, c := range cs {
-			wc := wireChange{CFD: c.CFD, Kind: c.Kind.String()}
-			if c.Kind == repro.ConstViolation {
-				tuple := c.Tuple
-				wc.Tuple = &tuple
-			} else {
-				wc.Key = c.Key
-			}
-			out = append(out, wc)
-		}
-		return out
-	}
-	return wireDelta{Added: conv(d.Added), Removed: conv(d.Removed)}
-}
-
-func fromWireDelta(w wireDelta) (*repro.ViolationDelta, error) {
-	conv := func(in []wireChange) ([]repro.ViolationChange, error) {
-		out := make([]repro.ViolationChange, 0, len(in))
-		for _, c := range in {
-			vc := repro.ViolationChange{CFD: c.CFD}
-			switch c.Kind {
-			case "const":
-				if c.Tuple == nil {
-					return nil, fmt.Errorf("const change without tuple key")
-				}
-				vc.Kind = repro.ConstViolation
-				vc.Tuple = *c.Tuple
-			case "variable":
-				vc.Kind = repro.VariableViolation
-				vc.Key = c.Key
-			default:
-				return nil, fmt.Errorf("unknown change kind %q", c.Kind)
-			}
-			out = append(out, vc)
-		}
-		return out, nil
-	}
-	added, err := conv(w.Added)
-	if err != nil {
-		return nil, err
-	}
-	removed, err := conv(w.Removed)
-	if err != nil {
-		return nil, err
-	}
-	return &repro.ViolationDelta{Added: added, Removed: removed}, nil
-}
 
 // --- httpBackend: one shard-group node over the cfdserve wire ---
 
@@ -188,37 +116,7 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		// The uniform envelope {"error": {"code", "message"}}; a pre-/v1
-		// node's flat {"error": "...", "code": "..."} is still understood.
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		ecode, emsg := "", ""
-		if err := json.Unmarshal(raw, &env); err == nil {
-			ecode, emsg = env.Error.Code, env.Error.Message
-		} else {
-			var flat struct {
-				Error string `json:"error"`
-				Code  string `json:"code"`
-			}
-			if json.Unmarshal(raw, &flat) == nil {
-				ecode, emsg = flat.Code, flat.Error
-			}
-		}
-		switch ecode {
-		case "fenced":
-			return fmt.Errorf("shard %s: %w", b.base, repro.ErrMonitorFenced)
-		case "read_only":
-			return fmt.Errorf("shard %s: %w", b.base, repro.ErrMonitorReadOnly)
-		}
-		if emsg == "" {
-			emsg = fmt.Sprintf("status %d", resp.StatusCode)
-		}
-		return fmt.Errorf("shard %s%s: %s", b.base, path, emsg)
+		return fmt.Errorf("shard %s%s: %w", b.base, path, httpapi.ReadError(resp))
 	}
 	if out == nil {
 		return nil
@@ -227,30 +125,17 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 }
 
 func (b *httpBackend) Apply(ctx context.Context, epoch uint64, cs *repro.ChangeSet) (*repro.ViolationDelta, error) {
-	ops := make([]wireOp, 0, len(cs.Ops))
-	for i := range cs.Ops {
-		op := &cs.Ops[i]
-		key := op.Key
-		switch op.Kind {
-		case repro.OpInsert:
-			// The router assigned every insert's key before splitting, so
-			// the shard must honor it rather than allocate its own.
-			ops = append(ops, wireOp{Op: "insert", Key: &key, Values: op.Tuple})
-		case repro.OpDelete:
-			ops = append(ops, wireOp{Op: "delete", Key: &key})
-		case repro.OpUpdate:
-			ops = append(ops, wireOp{Op: "update", Key: &key, Attr: op.Attr, Value: op.Value})
-		default:
-			return nil, fmt.Errorf("unknown op kind %v", op.Kind)
-		}
+	ops, err := httpapi.EncodeOps(cs)
+	if err != nil {
+		return nil, err
 	}
 	var res struct {
-		Delta wireDelta `json:"delta"`
+		Delta httpapi.Delta `json:"delta"`
 	}
 	if err := b.call(ctx, http.MethodPost, "/v1/apply", map[string]any{"ops": ops}, &epoch, &res); err != nil {
 		return nil, err
 	}
-	return fromWireDelta(res.Delta)
+	return httpapi.DecodeDelta(res.Delta)
 }
 
 func (b *httpBackend) stats(ctx context.Context) (epoch uint64, nextKey int64, err error) {
@@ -289,7 +174,7 @@ func (b *httpBackend) Fence(ctx context.Context, epoch uint64) error {
 }
 
 // violationTotal reads the node's live violation count, for the
-// router's cluster-wide /violations aggregate.
+// router's cluster-wide /v1/violations aggregate.
 func (b *httpBackend) violationTotal(ctx context.Context) (int, error) {
 	var res struct {
 		Total int `json:"total"`
@@ -321,7 +206,7 @@ func (b *httpBackend) repairs(ctx context.Context, query string) (shardRepairs, 
 
 // ReadPosition implements the read fan-out's staleness probe over the
 // wire: the node's epoch and — for a following standby — its replication
-// byte lag, both straight from GET /stats. A primary (no replica block,
+// byte lag, both straight from GET /v1/stats. A primary (no replica block,
 // or one already promoted) is its own tail: lag 0.
 func (b *httpBackend) ReadPosition(ctx context.Context) (repro.ClusterReadPosition, error) {
 	var st struct {
@@ -343,48 +228,6 @@ func (b *httpBackend) ReadPosition(ctx context.Context) (repro.ClusterReadPositi
 
 // --- the daemon ---
 
-// apiError is the uniform machine-readable error envelope shared with
-// cfdserve: every non-2xx response is {"error": {"code", "message"}}.
-type apiError struct {
-	Code    string  `json:"code"`
-	Message string  `json:"message"`
-	Epoch   *uint64 `json:"epoch,omitempty"`
-}
-
-// codeFor maps an HTTP status to its envelope code; statuses with a
-// more specific cause (fenced, stale_cursor) are stamped at the call
-// site instead.
-func codeFor(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusForbidden:
-		return "fenced"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusGone:
-		return "stale_cursor"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: codeFor(status), Message: err.Error()}})
-}
-
 type routerServer struct {
 	rt     *repro.ClusterRouter
 	vnodes int
@@ -392,31 +235,8 @@ type routerServer struct {
 }
 
 func (s *routerServer) handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := httpapi.NewMux("cfdrouter", s.reg)
 	reg := s.reg
-	handle := func(path string, h http.HandlerFunc) {
-		reqs := reg.Counter("cfdrouter_http_requests_total", "HTTP requests served, by endpoint.", obs.L("path", path))
-		errs := reg.Counter("cfdrouter_http_errors_total", "HTTP responses with status >= 400, by endpoint.", obs.L("path", path))
-		dur := reg.DurationHistogram("cfdrouter_http_request_seconds", "HTTP request latency, by endpoint.", obs.L("path", path))
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := statusWriter{ResponseWriter: w}
-			h(&sw, r)
-			reqs.Inc()
-			if sw.status >= 400 {
-				errs.Inc()
-			}
-			dur.ObserveSince(start)
-		})
-	}
-	// route registers the versioned spelling and its deprecated
-	// unversioned alias (kept one release; see docs/operations.md).
-	// Each spelling gets its own metric series, so alias traffic stays
-	// visible during the migration.
-	route := func(path string, h http.HandlerFunc) {
-		handle("/v1"+path, h)
-		handle(path, h)
-	}
 	routedOps := reg.Counter("cfdrouter_routed_ops_total", "Mutation ops routed to shard groups.")
 	shardFails := reg.Counter("cfdrouter_shard_failures_total", "Sub-batches refused or failed by a shard group.")
 	readViolDur := reg.DurationHistogram("cfdrouter_read_seconds", "Fan-out read latency against shard nodes, by endpoint.", obs.L("endpoint", "/violations"))
@@ -435,17 +255,6 @@ func (s *routerServer) handler() http.Handler {
 		}
 		return hb, nil
 	}
-	readBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return false
-		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-			return false
-		}
-		return true
-	}
 	// routeErr maps a routed apply's failure. A partial failure (some
 	// groups committed, some refused) is the router's defining error
 	// shape: 502 naming the failed groups, with the delta of the
@@ -459,16 +268,16 @@ func (s *routerServer) handler() http.Handler {
 				failed[name] = ferr.Error()
 			}
 			body := map[string]any{
-				"error":  apiError{Code: codeFor(http.StatusBadGateway), Message: err.Error()},
+				"error":  httpapi.Error{Code: httpapi.CodeFor(http.StatusBadGateway), Message: err.Error()},
 				"failed": failed,
 			}
 			if delta != nil {
-				body["delta"] = toWireDelta(delta)
+				body["delta"] = httpapi.EncodeDelta(delta)
 			}
-			writeJSON(w, http.StatusBadGateway, body)
+			httpapi.WriteJSON(w, http.StatusBadGateway, body)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 	}
 	apply := func(w http.ResponseWriter, r *http.Request, cs *repro.ChangeSet) (*repro.ViolationDelta, bool) {
 		delta, err := s.rt.Apply(r.Context(), cs)
@@ -480,111 +289,53 @@ func (s *routerServer) handler() http.Handler {
 		return delta, true
 	}
 
-	route("/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Values []string `json:"values"`
-			Key    *int64   `json:"key"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		if req.Key != nil {
-			cs.InsertKeyed(*req.Key, repro.Tuple(req.Values))
-		} else {
-			cs.Insert(repro.Tuple(req.Values))
-		}
-		delta, ok := apply(w, r, &cs)
+	mux.Handle("/v1/insert", func(w http.ResponseWriter, r *http.Request) {
+		cs, ok := httpapi.DecodeOne(w, r, "insert")
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"key": cs.Ops[0].Key, "shard": s.rt.Owner(cs.Ops[0].Key), "delta": toWireDelta(delta),
-		})
-	})
-	route("/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Delete(req.Key)
-		if delta, ok := apply(w, r, &cs); ok {
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
+		if delta, ok := apply(w, r, cs); ok {
+			key := cs.Ops[0].Key
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "shard": s.rt.Owner(key), "delta": httpapi.EncodeDelta(delta)})
 		}
 	})
-	route("/update", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key   int64  `json:"key"`
-			Attr  string `json:"attr"`
-			Value string `json:"value"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Update(req.Key, req.Attr, req.Value)
-		if delta, ok := apply(w, r, &cs); ok {
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
-		}
-	})
-	route("/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Ops []wireOp `json:"ops"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		for i, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: delete requires a key", i))
-					return
-				}
-				cs.Delete(*o.Key)
-			case "update":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: update requires a key", i))
-					return
-				}
-				cs.Update(*o.Key, o.Attr, o.Value)
-			default:
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: unknown op %q", i, o.Op))
+	for _, op := range []string{"delete", "update"} {
+		mux.Handle("/v1/"+op, func(w http.ResponseWriter, r *http.Request) {
+			cs, ok := httpapi.DecodeOne(w, r, op)
+			if !ok {
 				return
 			}
+			if delta, ok := apply(w, r, cs); ok {
+				httpapi.WriteJSON(w, http.StatusOK, map[string]any{"delta": httpapi.EncodeDelta(delta)})
+			}
+		})
+	}
+	mux.Handle("/v1/apply", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Ops []httpapi.Op `json:"ops"`
 		}
-		delta, ok := apply(w, r, &cs)
-		if !ok {
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
-		keys := make([]int64, 0, len(cs.Ops))
-		for i := range cs.Ops {
-			if cs.Ops[i].Kind == repro.OpInsert {
-				keys = append(keys, cs.Ops[i].Key)
-			}
+		cs, err := httpapi.DecodeOps(req.Ops)
+		if err != nil {
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
+			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ops": cs.Len(), "keys": keys, "delta": toWireDelta(delta),
-		})
+		if delta, ok := apply(w, r, cs); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{
+				"ops": cs.Len(), "keys": httpapi.InsertedKeys(cs), "delta": httpapi.EncodeDelta(delta),
+			})
+		}
 	})
 	// Cluster-wide violation count: the sum of one read per group.
 	// Totals are disjoint because each group owns its key range. With
 	// ?consistency=any the per-group read may land on a fresh standby
 	// instead of the primary.
-	route("/violations", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/violations", func(w http.ResponseWriter, r *http.Request) {
 		mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		groups := make(map[string]int)
@@ -592,7 +343,7 @@ func (s *routerServer) handler() http.Handler {
 		for _, name := range s.rt.Groups() {
 			hb, err := pickRead(r.Context(), name, mode)
 			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
+				httpapi.WriteErr(w, http.StatusInternalServerError, err)
 				return
 			}
 			start := time.Now()
@@ -600,13 +351,13 @@ func (s *routerServer) handler() http.Handler {
 			readViolDur.ObserveSince(start)
 			if err != nil {
 				readErrs.Inc()
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
+				httpapi.WriteErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
 				return
 			}
 			groups[name] = n
 			total += n
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
 	})
 	// Cluster-wide live repair suggestions: one GET /v1/repairs per
 	// group, merged under per-group labels (?consistency= applies, and
@@ -614,15 +365,14 @@ func (s *routerServer) handler() http.Handler {
 	// view is deliberately unpaginated — suggestion IDs and versions are
 	// per-node, so each group's list arrives whole (or ?limit-truncated)
 	// and accepted IDs must be applied against the owning group's node,
-	// named in its "node" field. New in /v1; no unversioned alias.
-	handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+	// named in its "node" field.
+	mux.Handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodGet) {
 			return
 		}
 		mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		fwd := url.Values{}
@@ -640,7 +390,7 @@ func (s *routerServer) handler() http.Handler {
 		for _, name := range s.rt.Groups() {
 			hb, err := pickRead(r.Context(), name, mode)
 			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
+				httpapi.WriteErr(w, http.StatusInternalServerError, err)
 				return
 			}
 			start := time.Now()
@@ -648,7 +398,7 @@ func (s *routerServer) handler() http.Handler {
 			readRepairDur.ObserveSince(start)
 			if err != nil {
 				readErrs.Inc()
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
+				httpapi.WriteErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
 				return
 			}
 			if res.Suggestions == nil {
@@ -662,21 +412,21 @@ func (s *routerServer) handler() http.Handler {
 			}
 			total += res.Total
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
 	})
-	route("/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		out := map[string]any{
 			"groups":         s.rt.Status(),
 			"next_key":       s.rt.NextKey(),
 			"vnodes":         s.vnodes,
 			"uptime_seconds": time.Since(processStart).Seconds(),
 		}
-		// ?shards=1 additionally fans out one GET /stats per group,
+		// ?shards=1 additionally fans out one GET /v1/stats per group,
 		// routed like any other read (?consistency= applies).
 		if sq := r.URL.Query().Get("shards"); sq != "" && sq != "0" && sq != "false" {
 			mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
+				httpapi.WriteErr(w, http.StatusBadRequest, err)
 				return
 			}
 			shards := make(map[string]any)
@@ -700,67 +450,38 @@ func (s *routerServer) handler() http.Handler {
 			}
 			out["shards"] = shards
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 	})
 	// Ownership probe: which group would serve a key.
-	route("/ring", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/ring", func(w http.ResponseWriter, r *http.Request) {
 		if kq := r.URL.Query().Get("key"); kq != "" {
 			key, err := strconv.ParseInt(kq, 10, 64)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"members": s.rt.Groups(), "vnodes": s.vnodes})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"members": s.rt.Groups(), "vnodes": s.vnodes})
 	})
 	// Failover: promote the group's first standby and re-point writes.
-	route("/promote", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/promote", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Group string `json:"group"`
 		}
-		if !readBody(w, r, &req) {
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
 		epoch, err := s.rt.Promote(r.Context(), req.Group)
 		if err != nil {
-			writeErr(w, http.StatusConflict, err)
+			httpapi.WriteErr(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"group": req.Group, "epoch": epoch, "promoted": true})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"group": req.Group, "epoch": epoch, "promoted": true})
 	})
-	route("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	})
+	mux.Handle("/v1/metrics", httpapi.Metrics(reg))
 	return mux
-}
-
-// statusWriter records the response status so the middleware can count
-// error responses; an implicit 200 (first Write without WriteHeader) is
-// recorded too.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // shardFlag accumulates repeated -shard name=primaryURL[,standbyURL...]
@@ -817,14 +538,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *pprofAddr != "" {
-		go func() {
-			lg.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				lg.Error("pprof server failed", "error", err)
-			}
-		}()
-	}
+	httpapi.ServePprof(lg, *pprofAddr)
 
 	groups := make([]repro.ClusterGroupConfig, 0, len(shards))
 	for _, def := range shards {
@@ -849,17 +563,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("routing %d shard groups on %s (next key %d)\n", len(groups), lis.Addr(), rt.NextKey())
-	hs := &http.Server{Handler: srv.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err = <-errc:
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		err = hs.Shutdown(sctx)
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpapi.Serve(ctx, lis, srv.handler()); err != nil {
 		lg.Error("server failed", "error", err)
 		os.Exit(1)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
 // The daemon is tested against stub shard nodes that speak the cfdserve
@@ -58,68 +59,42 @@ func (n *stubNode) mon() *repro.Monitor {
 }
 
 func (n *stubNode) handler() http.Handler {
-	mux := http.NewServeMux()
-	// Like cfdserve, every endpoint lives under /v1 with an unversioned
-	// alias.
-	handle := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, h)
-	}
-	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(v)
-	}
-	envelope := func(code, msg string) map[string]any {
-		return map[string]any{"error": map[string]string{"code": code, "message": msg}}
-	}
-	handle("/apply", func(w http.ResponseWriter, r *http.Request) {
+	mux := httpapi.NewMux("stub", repro.NewMetricsRegistry())
+	mux.Handle("/v1/apply", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Ops []wireOp `json:"ops"`
+			Ops []httpapi.Op `json:"ops"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
-		var cs repro.ChangeSet
-		for _, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				cs.Delete(*o.Key)
-			case "update":
-				cs.Update(*o.Key, o.Attr, o.Value)
-			}
+		cs, err := httpapi.DecodeOps(req.Ops)
+		if err != nil {
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
+			return
 		}
 		var delta *repro.ViolationDelta
-		var err error
 		if h := r.Header.Get("X-Cfd-Epoch"); h != "" {
 			epoch, perr := strconv.ParseUint(h, 10, 64)
 			if perr != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": perr.Error()})
+				httpapi.WriteErr(w, http.StatusBadRequest, perr)
 				return
 			}
-			delta, err = n.mon().ApplyAt(&cs, epoch)
+			delta, err = n.mon().ApplyAt(cs, epoch)
 		} else {
-			delta, err = n.mon().Apply(&cs)
+			delta, err = n.mon().Apply(cs)
 		}
 		switch {
 		case errors.Is(err, repro.ErrMonitorFenced):
-			writeJSON(w, http.StatusForbidden, envelope("fenced", err.Error()))
+			httpapi.WriteErr(w, http.StatusForbidden, err)
 		case errors.Is(err, repro.ErrMonitorReadOnly):
-			writeJSON(w, http.StatusConflict, envelope("read_only", err.Error()))
+			httpapi.WriteError(w, http.StatusConflict, httpapi.Error{Code: "read_only", Message: err.Error()})
 		case err != nil:
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 		default:
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"delta": httpapi.EncodeDelta(delta)})
 		}
 	})
-	handle("/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		stats := map[string]any{
 			"epoch": n.mon().Epoch(), "next_key": n.mon().NextKey(),
 		}
@@ -132,17 +107,17 @@ func (n *stubNode) handler() http.Handler {
 				"following": st.Following, "lag_bytes": st.LagBytes,
 			}
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpapi.WriteJSON(w, http.StatusOK, stats)
 	})
-	handle("/violations", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"total": n.mon().ViolationCount()})
+	mux.Handle("/v1/violations", func(w http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"total": n.mon().ViolationCount()})
 	})
 	// The cfdserve GET /v1/repairs shape, minus ETag/cursor machinery:
 	// a throwaway suggester over the node's live violation set.
-	handle("/repairs", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
 		sg, err := repro.WatchRepairs(n.mon(), repro.SuggestOptions{})
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		defer sg.Close()
@@ -152,32 +127,31 @@ func (n *stubNode) handler() http.Handler {
 		for _, s := range sugs {
 			out = append(out, map[string]any{"id": s.ID, "kind": s.Kind.String(), "cost": s.Cost})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"suggestions": out, "total": len(sugs), "version": sg.Version()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"suggestions": out, "total": len(sugs), "version": sg.Version()})
 	})
-	handle("/promote", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/promote", func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()
 		f := n.f
 		n.mu.Unlock()
 		if f == nil {
-			writeJSON(w, http.StatusConflict, envelope("conflict", "not a follower"))
+			httpapi.WriteErr(w, http.StatusConflict, errors.New("not a follower"))
 			return
 		}
 		if err := f.Promote(); err != nil {
-			writeJSON(w, http.StatusConflict, envelope("conflict", err.Error()))
+			httpapi.WriteErr(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "epoch": f.Monitor().Epoch()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"promoted": true, "epoch": f.Monitor().Epoch()})
 	})
-	handle("/fence", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/fence", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Epoch uint64 `json:"epoch"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
 		n.mon().Fence(req.Epoch)
-		writeJSON(w, http.StatusOK, map[string]any{"epoch": n.mon().Epoch(), "fenced": n.mon().Fenced()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"epoch": n.mon().Epoch(), "fenced": n.mon().Fenced()})
 	})
 	return mux
 }
@@ -240,7 +214,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 
 	// A routed batch: keys are allocated by the router and every tuple
 	// lands on the shard the ring names — and nowhere else.
-	code, res := postBody(t, url+"/apply", `{"ops":[
+	code, res := postBody(t, url+"/v1/apply", `{"ops":[
 		{"op":"insert","values":["01","908","1111111","Mike","Tree Ave.","MH","07974"]},
 		{"op":"insert","values":["01","212","2222222","Joe","Elm Str.","NYC","01202"]},
 		{"op":"insert","values":["01","215","3333333","Ben","Oak Ave.","PHI","19014"]}]}`)
@@ -253,7 +227,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	}
 	for _, kv := range keys {
 		key := int64(kv.(float64))
-		_, ringRes := getBody(t, fmt.Sprintf("%s/ring?key=%d", url, key))
+		_, ringRes := getBody(t, fmt.Sprintf("%s/v1/ring?key=%d", url, key))
 		owner, _ := ringRes["owner"].(string)
 		for name, node := range nodes {
 			_, ok := node.mon().Get(key)
@@ -265,7 +239,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 
 	// A const-violating insert: the shard's delta comes back through the
 	// router, and the cluster-wide /violations aggregate sees it.
-	code, res = postBody(t, url+"/insert", `{"values":["01","908","4444444","Eve","Elm Str.","NYC","01202"]}`)
+	code, res = postBody(t, url+"/v1/insert", `{"values":["01","908","4444444","Eve","Elm Str.","NYC","01202"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("insert: %d %v", code, res)
 	}
@@ -274,7 +248,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	if added := delta["added"].([]any); len(added) == 0 {
 		t.Fatalf("violating insert produced no delta: %v", res)
 	}
-	code, res = getBody(t, url+"/violations")
+	code, res = getBody(t, url+"/v1/violations")
 	var wantTotal int64
 	for _, node := range nodes {
 		wantTotal += node.mon().ViolationCount()
@@ -298,21 +272,21 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	if sugs := og["suggestions"].([]any); len(sugs) == 0 || og["node"] == "" {
 		t.Fatalf("owner group %s repairs = %v", owner, og)
 	}
-	// The alias-free endpoint: the unversioned spelling 404s.
+	// Only /v1 spellings exist: the unversioned one 404s.
 	if code, _ = getBody(t, url+"/repairs"); code != http.StatusNotFound {
 		t.Fatalf("unversioned /repairs: %d, want 404", code)
 	}
 
 	// A routed update heals it; a routed delete removes the tuple from
 	// its owner.
-	code, res = postBody(t, url+"/update", fmt.Sprintf(`{"key":%d,"attr":"CT","value":"MH"}`, badKey))
+	code, res = postBody(t, url+"/v1/update", fmt.Sprintf(`{"key":%d,"attr":"CT","value":"MH"}`, badKey))
 	if code != http.StatusOK {
 		t.Fatalf("update: %d %v", code, res)
 	}
 	if removed := res["delta"].(map[string]any)["removed"].([]any); len(removed) == 0 {
 		t.Fatalf("healing update removed nothing: %v", res)
 	}
-	code, _ = postBody(t, url+"/delete", fmt.Sprintf(`{"key":%d}`, badKey))
+	code, _ = postBody(t, url+"/v1/delete", fmt.Sprintf(`{"key":%d}`, badKey))
 	if code != http.StatusOK {
 		t.Fatal("delete failed")
 	}
@@ -321,19 +295,19 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	}
 
 	// Wire validation: delete with no key is refused up front.
-	if code, _ = postBody(t, url+"/apply", `{"ops":[{"op":"delete"}]}`); code != http.StatusBadRequest {
+	if code, _ = postBody(t, url+"/v1/apply", `{"ops":[{"op":"delete"}]}`); code != http.StatusBadRequest {
 		t.Fatalf("keyless delete: %d, want 400", code)
 	}
 
 	// /stats reflects the allocator watermark and every group.
-	_, st := getBody(t, url+"/stats")
+	_, st := getBody(t, url+"/v1/stats")
 	if fmt.Sprint(st["next_key"]) != "4" {
 		t.Fatalf("next_key = %v, want 4", st["next_key"])
 	}
 	if gs := st["groups"].([]any); len(gs) != 3 {
 		t.Fatalf("stats groups = %v", gs)
 	}
-	_, ring := getBody(t, url+"/ring")
+	_, ring := getBody(t, url+"/v1/ring")
 	if members := ring["members"].([]any); len(members) != 3 {
 		t.Fatalf("ring members = %v", members)
 	}
@@ -367,7 +341,7 @@ func TestDaemonPromoteFailover(t *testing.T) {
 		Standbys: []repro.ClusterBackend{newHTTPBackend(fts.URL, 10*time.Second)},
 	}})
 
-	code, res := postBody(t, url+"/insert", `{"values":["01","908","1111111","Mike","Tree Ave.","MH","07974"]}`)
+	code, res := postBody(t, url+"/v1/insert", `{"values":["01","908","1111111","Mike","Tree Ave.","MH","07974"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("insert: %d %v", code, res)
 	}
@@ -383,11 +357,11 @@ func TestDaemonPromoteFailover(t *testing.T) {
 
 	// Failover: the standby takes over under a bumped epoch, and the
 	// router re-points writes with no re-seeding.
-	code, res = postBody(t, url+"/promote", `{"group":"g0"}`)
+	code, res = postBody(t, url+"/v1/promote", `{"group":"g0"}`)
 	if code != http.StatusOK || fmt.Sprint(res["epoch"]) != "1" {
 		t.Fatalf("promote: %d %v", code, res)
 	}
-	code, res = postBody(t, url+"/insert", `{"values":["01","212","2222222","Joe","Elm Str.","NYC","01202"]}`)
+	code, res = postBody(t, url+"/v1/insert", `{"values":["01","212","2222222","Joe","Elm Str.","NYC","01202"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-failover insert: %d %v", code, res)
 	}
@@ -408,10 +382,10 @@ func TestDaemonPromoteFailover(t *testing.T) {
 	}
 
 	// No standbys remain, so a second failover is refused.
-	if code, _ = postBody(t, url+"/promote", `{"group":"g0"}`); code != http.StatusConflict {
+	if code, _ = postBody(t, url+"/v1/promote", `{"group":"g0"}`); code != http.StatusConflict {
 		t.Fatalf("second promote: %d, want 409", code)
 	}
-	_, st := getBody(t, url+"/stats")
+	_, st := getBody(t, url+"/v1/stats")
 	g0 := st["groups"].([]any)[0].(map[string]any)
 	if fmt.Sprint(g0["epoch"]) != "1" || fmt.Sprint(g0["standbys"]) != "0" {
 		t.Fatalf("group status after failover = %v", g0)

@@ -65,7 +65,7 @@ func TestDaemonReadFanout(t *testing.T) {
 		`{"values":["01","908","1111111","Mike","Tree Ave.","MH","07974"]}`,
 		`{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`,
 	} {
-		if code, res := postBody(t, url+"/insert", body); code != http.StatusOK {
+		if code, res := postBody(t, url+"/v1/insert", body); code != http.StatusOK {
 			t.Fatalf("insert: %d %v", code, res)
 		}
 	}
@@ -84,7 +84,7 @@ func TestDaemonReadFanout(t *testing.T) {
 
 	// Pinned to the primary: the standby serves nothing.
 	for i := 0; i < 4; i++ {
-		code, res := getBody(t, url+"/violations?consistency=primary")
+		code, res := getBody(t, url+"/v1/violations?consistency=primary")
 		if code != http.StatusOK || fmt.Sprint(res["total"]) != fmt.Sprint(want) {
 			t.Fatalf("primary read %d: %d %v", i, code, res)
 		}
@@ -95,7 +95,7 @@ func TestDaemonReadFanout(t *testing.T) {
 
 	// Round-robined: both nodes serve, and every answer is the total.
 	for i := 0; i < 6; i++ {
-		code, res := getBody(t, url+"/violations?consistency=any")
+		code, res := getBody(t, url+"/v1/violations?consistency=any")
 		if code != http.StatusOK || fmt.Sprint(res["total"]) != fmt.Sprint(want) {
 			t.Fatalf("any read %d: %d %v", i, code, res)
 		}
@@ -108,13 +108,13 @@ func TestDaemonReadFanout(t *testing.T) {
 	}
 
 	// Junk mode is refused up front.
-	if code, _ := getBody(t, url+"/violations?consistency=quorum"); code != http.StatusBadRequest {
+	if code, _ := getBody(t, url+"/v1/violations?consistency=quorum"); code != http.StatusBadRequest {
 		t.Fatalf("junk consistency: %d, want 400", code)
 	}
 
 	// /stats?shards=1 fans per-group node stats out through the same
 	// read routing.
-	code, st := getBody(t, url+"/stats?shards=1&consistency=any")
+	code, st := getBody(t, url+"/v1/stats?shards=1&consistency=any")
 	if code != http.StatusOK {
 		t.Fatalf("stats fanout: %d", code)
 	}
@@ -127,7 +127,7 @@ func TestDaemonReadFanout(t *testing.T) {
 		t.Fatalf("shards.g0 = %v", shards["g0"])
 	}
 	// Without ?shards the router answers from its own state alone.
-	_, st = getBody(t, url+"/stats")
+	_, st = getBody(t, url+"/v1/stats")
 	if _, ok := st["shards"]; ok {
 		t.Fatalf("plain /stats grew a shards block: %v", st)
 	}

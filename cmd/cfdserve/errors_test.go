@@ -1,21 +1,22 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
 // TestErrorEnvelope pins the uniform error surface: every non-2xx
 // response from cfdserve is {"error": {"code", "message"}} with the
-// documented code for its status, across the versioned endpoints and
-// their legacy aliases, and across node roles (primary, read-only
-// standby, fenced).
+// documented code for its status, across the /v1 endpoints (the only
+// spellings: an unversioned path is a 404) and across node roles
+// (primary, read-only standby, fenced).
 func TestErrorEnvelope(t *testing.T) {
 	// Three nodes, one per role. The standby follows the primary
 	// in-process; the fenced node is latched by an epoch-1 stamp.
@@ -50,7 +51,7 @@ func TestErrorEnvelope(t *testing.T) {
 
 	do := func(base, method, path, body string) (int, map[string]any) {
 		t.Helper()
-		req, err := http.NewRequest(method, base+path, bytes.NewReader([]byte(body)))
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +68,8 @@ func TestErrorEnvelope(t *testing.T) {
 		return resp.StatusCode, v
 	}
 
+	// A body just over the bound, inside a well-formed JSON string.
+	oversized := `{"values":["` + strings.Repeat("x", httpapi.MaxBodyBytes) + `"]}`
 	tests := []struct {
 		name       string
 		base       string
@@ -78,7 +81,8 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"method not allowed", pts.URL, http.MethodGet, "/v1/insert", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad JSON body", pts.URL, http.MethodPost, "/v1/insert", "{", http.StatusBadRequest, "bad_request"},
-		{"bad JSON on legacy alias", pts.URL, http.MethodPost, "/insert", "{", http.StatusBadRequest, "bad_request"},
+		{"unversioned insert", pts.URL, http.MethodPost, "/insert", "{}", http.StatusNotFound, "not_found"},
+		{"oversized body", pts.URL, http.MethodPost, "/v1/insert", oversized, http.StatusRequestEntityTooLarge, "too_large"},
 		{"delete unknown key", pts.URL, http.MethodPost, "/v1/delete", `{"key":99999}`, http.StatusNotFound, "not_found"},
 		{"violations unknown key", pts.URL, http.MethodGet, "/v1/violations?key=99999", "", http.StatusNotFound, "not_found"},
 		{"violations bad cursor", pts.URL, http.MethodGet, "/v1/violations?cursor=zap", "", http.StatusBadRequest, "bad_request"},
@@ -93,7 +97,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"standby refuses writes", fts.URL, http.MethodPost, "/v1/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`, http.StatusConflict, "read_only"},
 		{"standby refuses snapshot", fts.URL, http.MethodPost, "/v1/snapshot", "", http.StatusConflict, "conflict"},
 		{"fenced node refuses writes", xts.URL, http.MethodPost, "/v1/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`, http.StatusForbidden, "fenced"},
-		{"fenced node legacy alias", xts.URL, http.MethodPost, "/update", `{"key":0,"attr":"CT","value":"MH"}`, http.StatusForbidden, "fenced"},
+		{"fenced node unversioned update", xts.URL, http.MethodPost, "/update", `{"key":0,"attr":"CT","value":"MH"}`, http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,13 +1,13 @@
 // Command cfdserve turns the incremental Monitor into a long-lived
 // service: it loads a CSV instance and a CFD set once, then accepts
-// tuple-level changes and violation queries over a line-oriented protocol
-// (stdin/stdout) or an HTTP/JSON API — every write answered with the exact
-// violation delta it caused.
+// tuple-level changes and violation queries over an HTTP/JSON API —
+// every write answered with the exact violation delta it caused. For
+// stream ingest from a file or stdin without a server, use
+// cfddetect -watch.
 //
 // Usage:
 //
-//	cfdserve -data tax.csv -cfds cfds.txt                # line loop on stdin
-//	cfdserve -data tax.csv -cfds cfds.txt -http :8080    # HTTP API
+//	cfdserve -data tax.csv -cfds cfds.txt -http :8080
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd \
 //	         -fsync -group-commit-ops 512                # durable + group commit
@@ -27,43 +27,24 @@
 // (http.Server.Shutdown), a final snapshot is taken and the journal is
 // synced before the process exits.
 //
-// A durable node ships its WAL: GET /wal/snapshot streams the newest
-// snapshot image and GET /wal/stream serves record-aligned segment
+// A durable node ships its WAL: GET /v1/wal/snapshot streams the newest
+// snapshot image and GET /v1/wal/stream serves record-aligned segment
 // chunks — closed segments (keep some with -retain-segments so a
 // briefly-disconnected follower can resume instead of resyncing) and the
 // flushed live tail. With -follow <primary-url> the node runs as a hot
 // standby instead: it tails the primary's stream into its own -wal-dir,
-// serves /violations, /stats and /discover from the replicated state,
-// refuses mutations (409 with an explanatory error), and reports its
-// replication lag under "replica" in /stats. POST /promote — or
+// serves /v1/violations, /v1/stats and /v1/discover from the replicated
+// state, refuses mutations (409 with an explanatory error), and reports
+// its replication lag under "replica" in /v1/stats. POST /v1/promote — or
 // -promote-after, which does it automatically once the primary has been
 // unreachable for that long — flips the standby into a writable primary
 // at the exact record boundary it has applied; a follower restart
 // resumes from its local snapshot + log tail, and a follower whose
 // cursor fell below the primary's retention window resyncs from the
-// current snapshot automatically. Follow mode requires -http (the line
-// protocol cannot mutate a replica anyway); -data is not used.
+// current snapshot automatically. In follow mode -data is not used.
 //
-// Line protocol (one command per line):
-//
-//	insert v1,v2,...        add a tuple (CSV values, schema order)
-//	delete KEY              remove a tuple by key
-//	update KEY ATTR VALUE   change one attribute
-//	batch                   start collecting a ChangeSet...
-//	  insert/delete/update    ...of ops (same syntax), applied by
-//	end                     ...END as ONE batch: all-or-nothing,
-//	                        one WAL record, one fsync
-//	abort                   discard the open batch
-//	violations              dump the live violation set
-//	satisfied               print true/false
-//	stats                   print tuples=N violations=M satisfied=B
-//	snapshot                force a snapshot (durable mode)
-//	quit                    exit
-//
-// HTTP API (JSON). Every endpoint lives under the /v1 prefix; the
-// unversioned spellings below it are deprecated aliases kept for one
-// release (see the versioning policy in docs/operations.md). New
-// surface — the repair endpoints — exists under /v1 only.
+// HTTP API (JSON). Every endpoint lives under the /v1 prefix (see the
+// versioning policy in docs/operations.md); any other path answers 404.
 //
 //	POST /v1/insert  {"values": ["01","908",...]}    → {"key": K, "delta": {...}}
 //	POST /v1/delete  {"key": 3}                      → {"delta": {...}}
@@ -92,9 +73,10 @@
 // codes, "fenced" (403, with the node's current epoch), "read_only"
 // (409, the node is a standby), "stale_cursor" (410, the paginated set
 // changed under the cursor) and "not_found" (404, unknown key or
-// suggestion id) are machine-dispatched by routers and clients; the
-// rest ("bad_request", "method_not_allowed", "conflict", "internal")
-// classify the failure.
+// suggestion id, or a path outside /v1) are machine-dispatched by
+// routers and clients; the rest ("bad_request", "method_not_allowed",
+// "conflict", "too_large" for a body over 32 MiB, "internal") classify
+// the failure.
 //
 // GET /v1/repairs serves the live repair suggester (see WatchRepairs):
 // the first call attaches it to the monitor's violation-delta and
@@ -120,14 +102,14 @@
 // a latency histogram (cfdserve_http_* series, labeled by path), and the
 // monitor's own instrumentation — apply-stage timings, WAL append/fsync
 // latencies, replication lag, miner refresh cost — is exposed through
-// GET /metrics in the Prometheus text format, no client library
+// GET /v1/metrics in the Prometheus text format, no client library
 // required. -pprof-addr serves net/http/pprof on a second, private
 // listener for CPU/heap profiles. Diagnostics go through log/slog:
 // -log-level picks the threshold (debug, info, warn, error) and
 // -log-json switches the stderr stream to JSON lines; the startup
 // banner stays on stdout for scripts that parse the bound address.
 //
-// GET /discover serves streaming CFD discovery over the live instance:
+// GET /v1/discover serves streaming CFD discovery over the live instance:
 // the first call attaches a miner to the monitor's group indexes (one
 // full scoring pass); every later call re-scores only the groups the
 // interleaving writes touched. Config query params — max_lhs (serving
@@ -136,17 +118,14 @@
 // mining configuration; a call with a different config re-attaches the
 // miner (another full pass), so clients should settle on one.
 //
-// POST /apply and BATCH…END apply the op vector through Monitor.Apply:
+// POST /v1/apply applies the op vector through Monitor.Apply:
 // the batch is validated as a unit (an invalid op rejects all of it),
 // journaled as a single WAL record, and answered with the combined net
 // violation delta plus the keys assigned to its inserts, in op order.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -154,7 +133,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // -pprof-addr serves the DefaultServeMux handlers
 	"net/url"
 	"os"
 	"os/signal"
@@ -169,17 +147,18 @@ import (
 
 	"repro"
 	"repro/internal/cliutil"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
-// processStart anchors the uptime reported by GET /stats.
+// processStart anchors the uptime reported by GET /v1/stats.
 var processStart = time.Now()
 
 func main() {
 	var (
 		dataPath     = flag.String("data", "", "CSV instance to monitor (required, except in follow mode)")
 		cfdPath      = flag.String("cfds", "", "CFD file in text notation (required)")
-		httpAddr     = flag.String("http", "", "serve the HTTP API on this address instead of the line protocol")
+		httpAddr     = flag.String("http", "", "serve the HTTP API on this address (required)")
 		shards       = flag.Int("shards", 0, "lock shards per index (0 = default)")
 		walDir       = flag.String("wal-dir", "", "durable mode: write-ahead log + snapshots in this directory; restarts recover from it instead of reloading the CSV")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL after every record (acknowledged writes survive OS crash; slower)")
@@ -188,14 +167,19 @@ func main() {
 		snapRecords  = flag.Int("snapshot-records", 10000, "roll a background snapshot after this many WAL records (0 = off)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "also snapshot on this wall-clock period, e.g. 5m (0 = off)")
 		retainSegs   = flag.Int("retain-segments", 2, "durable mode: closed WAL segments kept behind the current one, so a briefly-disconnected follower resumes its cursor instead of resyncing (0 = none)")
-		follow       = flag.String("follow", "", "run as a hot standby of this primary URL, tailing its WAL into -wal-dir (requires -http and -wal-dir; -data is not used)")
+		follow       = flag.String("follow", "", "run as a hot standby of this primary URL, tailing its WAL into -wal-dir (requires -wal-dir; -data is not used)")
 		followPoll   = flag.Duration("follow-poll", 200*time.Millisecond, "follow mode: idle wait between tail polls once caught up")
-		promoteAfter = flag.Duration("promote-after", 0, "follow mode: auto-promote to a writable primary once the primary has been unreachable this long (0 = manual POST /promote)")
+		promoteAfter = flag.Duration("promote-after", 0, "follow mode: auto-promote to a writable primary once the primary has been unreachable this long (0 = manual POST /v1/promote)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this second, private address (off when empty)")
 		logLevel     = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 		logJSON      = flag.Bool("log-json", false, "write logs to stderr as JSON lines instead of text")
 	)
 	flag.Parse()
+	if *httpAddr == "" {
+		fmt.Fprintln(os.Stderr, "cfdserve: -http is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 	lg, err := cliutil.NewLogger(*logLevel, *logJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cfdserve:", err)
@@ -215,18 +199,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *pprofAddr != "" {
-		go func() {
-			lg.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				lg.Error("pprof server failed", "error", err)
-			}
-		}()
-	}
+	httpapi.ServePprof(lg, *pprofAddr)
 
 	if *follow != "" {
-		if *cfdPath == "" || *walDir == "" || *httpAddr == "" {
-			lg.Error("-follow requires -cfds, -wal-dir and -http")
+		if *cfdPath == "" || *walDir == "" {
+			lg.Error("-follow requires -cfds and -wal-dir")
 			os.Exit(2)
 		}
 		fo := repro.FollowOptions{
@@ -259,39 +236,19 @@ func main() {
 		source = fmt.Sprintf("recovered from %s (generation %d)", *walDir, srv.mon().JournalStats().Generation)
 	}
 
-	if *httpAddr != "" {
-		lis, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			lg.Error("listen failed", "error", err)
-			os.Exit(2)
-		}
-		fmt.Printf("monitoring %d tuples against %d CFDs on %s (%s)\n",
-			srv.mon().Len(), len(srv.mon().Sigma()), lis.Addr(), source)
-		err = srv.serveHTTP(ctx, lis)
-		if cerr := srv.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			lg.Error("server failed", "error", err)
-			os.Exit(2)
-		}
-		return
+	lis, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		lg.Error("listen failed", "error", err)
+		os.Exit(2)
 	}
-	fmt.Printf("monitoring %d tuples against %d CFDs (%s); type 'help' for commands\n",
-		srv.mon().Len(), len(srv.mon().Sigma()), source)
-	done := make(chan error, 1)
-	go func() { done <- srv.lineLoop(os.Stdin, os.Stdout) }()
-	var loopErr error
-	select {
-	case loopErr = <-done:
-	case <-ctx.Done():
-		fmt.Println("signal received, shutting down")
+	fmt.Printf("monitoring %d tuples against %d CFDs on %s (%s)\n",
+		srv.mon().Len(), len(srv.mon().Sigma()), lis.Addr(), source)
+	err = httpapi.Serve(ctx, lis, srv.handler())
+	if cerr := srv.close(); err == nil {
+		err = cerr
 	}
-	if cerr := srv.close(); loopErr == nil {
-		loopErr = cerr
-	}
-	if loopErr != nil {
-		lg.Error("line loop failed", "error", loopErr)
+	if err != nil {
+		lg.Error("server failed", "error", err)
 		os.Exit(2)
 	}
 }
@@ -327,7 +284,7 @@ func runFollower(ctx context.Context, lg *slog.Logger, cfdPath, httpAddr string,
 		defer close(tailDone)
 		srv.followLoop(fctx, sigma, opts, fo)
 	}()
-	err = srv.serveHTTP(ctx, lis)
+	err = httpapi.Serve(ctx, lis, srv.handler())
 	fcancel()
 	<-tailDone
 	if cerr := srv.closeReplica(); err == nil {
@@ -396,7 +353,7 @@ type server struct {
 	// falls back to slog.Default via logger().
 	log *slog.Logger
 
-	// The lazily-attached discovery miner behind GET /discover, cached
+	// The lazily-attached discovery miner behind GET /v1/discover, cached
 	// per config: re-attaching costs a full scoring pass, so the one
 	// live miner is kept until a request names a different config.
 	mineMu   sync.Mutex
@@ -438,7 +395,7 @@ func (s *server) metrics() *obs.Registry {
 
 // setReplica swaps in a (new) replicated monitor + follower pair. The
 // whole swap — miner retirement included — happens under mineMu, so a
-// concurrent /discover cannot read the old monitor and cache a fresh
+// concurrent /v1/discover cannot read the old monitor and cache a fresh
 // miner against it after the swap (minerFor reads s.mon() under the
 // same mutex). The follower is stored before the monitor so a reader
 // that sees the new monitor also sees its follower.
@@ -497,26 +454,6 @@ func newServer(dataPath, cfdPath string, opts repro.MonitorOptions) (*server, er
 	return srv, nil
 }
 
-// serveHTTP serves the API until ctx is cancelled, then shuts down
-// gracefully: the listener closes, in-flight responses are flushed, and
-// only then does the call return.
-func (s *server) serveHTTP(ctx context.Context, lis net.Listener) error {
-	hs := &http.Server{Handler: s.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
 // snapshotLoop forces a snapshot on a wall-clock cadence, alongside the
 // record-count trigger of -snapshot-records.
 func (s *server) snapshotLoop(ctx context.Context, every time.Duration) {
@@ -565,212 +502,13 @@ func (s *server) closeReplica() error {
 	return f.Close()
 }
 
-// --- line protocol ---
-
-// lineLoop runs the text protocol until quit/EOF; a scanner failure (line
-// over the buffer cap, read error) is returned so the caller can report it
-// instead of exiting as if the stream ended cleanly.
-//
-// BATCH…END frames are collected here: between the two markers every
-// insert/delete/update line lands in one ChangeSet, applied by END as a
-// single Monitor.Apply — all-or-nothing, one WAL record. A malformed op
-// line poisons the frame: the framing still runs to END (a pipelining
-// client's remaining op lines must not escape into immediate execution),
-// but the whole frame is then discarded — nothing in it is applied.
-func (s *server) lineLoop(in io.Reader, out io.Writer) error {
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var batch *repro.ChangeSet
-	batchDead := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if batch != nil {
-			verb, rest, _ := strings.Cut(line, " ")
-			switch strings.ToLower(verb) {
-			case "end":
-				if batchDead {
-					fmt.Fprintln(out, "batch discarded: earlier op was malformed, nothing applied")
-				} else {
-					s.applyBatch(batch, out)
-				}
-				batch, batchDead = nil, false
-			case "abort":
-				fmt.Fprintln(out, "batch discarded")
-				batch, batchDead = nil, false
-			default:
-				if batchDead {
-					continue // swallow the rest of the poisoned frame
-				}
-				if err := parseOp(strings.ToLower(verb), rest, batch); err != nil {
-					fmt.Fprintln(out, "error:", err)
-					batchDead = true
-				}
-			}
-			continue
-		}
-		if low := strings.ToLower(line); low == "quit" || low == "exit" {
-			return nil
-		}
-		if strings.ToLower(line) == "batch" {
-			batch = &repro.ChangeSet{}
-			fmt.Fprintln(out, "batch open: insert/delete/update ops, then 'end' (or 'abort')")
-			continue
-		}
-		s.execLine(line, out)
-	}
-	if batch != nil {
-		fmt.Fprintln(out, "error: unterminated batch discarded")
-	}
-	return sc.Err()
-}
-
-// parseOp parses one mutation line into the open ChangeSet.
-func parseOp(verb, rest string, cs *repro.ChangeSet) error {
-	switch verb {
-	case "insert":
-		rec, err := csv.NewReader(strings.NewReader(rest)).Read()
-		if err != nil {
-			return fmt.Errorf("bad CSV values: %w", err)
-		}
-		cs.Insert(repro.Tuple(rec))
-	case "delete":
-		key, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key: %w", err)
-		}
-		cs.Delete(key)
-	case "update":
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
-			return fmt.Errorf("usage: update KEY ATTR VALUE")
-		}
-		key, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key: %w", err)
-		}
-		cs.Update(key, parts[1], parts[2])
-	default:
-		return fmt.Errorf("unknown op %q in batch (insert/delete/update, then 'end' — or 'abort' to discard)", verb)
-	}
-	return nil
-}
-
-// applyBatch runs the collected frame as one Monitor.Apply and reports
-// the inserted keys (in op order) plus the combined net delta.
-func (s *server) applyBatch(cs *repro.ChangeSet, out io.Writer) {
-	delta, err := s.mon().Apply(cs)
-	if err != nil {
-		fmt.Fprintln(out, "error:", err)
-		return
-	}
-	fmt.Fprintf(out, "applied %d ops\n", cs.Len())
-	for i := range cs.Ops {
-		if cs.Ops[i].Kind == repro.OpInsert {
-			fmt.Fprintf(out, "key %d\n", cs.Ops[i].Key)
-		}
-	}
-	printDelta(out, delta)
-}
-
-func (s *server) execLine(line string, out io.Writer) {
-	verb, rest, _ := strings.Cut(line, " ")
-	// One casing rule everywhere: verbs fold like the BATCH…END markers.
-	switch strings.ToLower(verb) {
-	case "help":
-		fmt.Fprintln(out, "commands: insert v1,v2,... | delete KEY | update KEY ATTR VALUE | batch ... end | violations | satisfied | stats | snapshot | quit")
-	case "insert":
-		rec, err := csv.NewReader(strings.NewReader(rest)).Read()
-		if err != nil {
-			fmt.Fprintln(out, "error: bad CSV values:", err)
-			return
-		}
-		key, delta, err := s.mon().Insert(repro.Tuple(rec))
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintf(out, "key %d\n", key)
-		printDelta(out, delta)
-	case "delete":
-		key, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			fmt.Fprintln(out, "error: bad key:", err)
-			return
-		}
-		delta, err := s.mon().Delete(key)
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintln(out, "deleted", key)
-		printDelta(out, delta)
-	case "update":
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
-			fmt.Fprintln(out, "error: usage: update KEY ATTR VALUE")
-			return
-		}
-		key, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			fmt.Fprintln(out, "error: bad key:", err)
-			return
-		}
-		delta, err := s.mon().Update(key, parts[1], parts[2])
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintln(out, "updated", key)
-		printDelta(out, delta)
-	case "violations":
-		st := s.mon().Violations()
-		if st.Clean() {
-			fmt.Fprintln(out, "no violations")
-			return
-		}
-		for i, v := range st.PerCFD {
-			if v.Total() == 0 {
-				continue
-			}
-			fmt.Fprintf(out, "cfd %d: %d constant-violating tuples, %d conflicting groups\n",
-				i, len(v.ConstTuples), len(v.VariableKeys))
-			for _, k := range v.ConstTuples {
-				fmt.Fprintf(out, "  tuple %d\n", k)
-			}
-			for _, x := range v.VariableKeys {
-				fmt.Fprintf(out, "  group X = (%s)\n", strings.Join(x, ", "))
-			}
-		}
-	case "satisfied":
-		fmt.Fprintln(out, s.mon().Satisfied())
-	case "stats":
-		fmt.Fprintf(out, "tuples=%d violations=%d satisfied=%v\n",
-			s.mon().Len(), s.mon().ViolationCount(), s.mon().Satisfied())
-		if js := s.mon().JournalStats(); js.Durable {
-			fmt.Fprintf(out, "wal dir=%s generation=%d segment_records=%d recovered=%v\n",
-				js.Dir, js.Generation, js.SegmentRecords, js.Recovered)
-		}
-	case "snapshot":
-		if err := s.mon().ForceSnapshot(); err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintf(out, "snapshot done, generation %d\n", s.mon().JournalStats().Generation)
-	default:
-		fmt.Fprintf(out, "error: unknown command %q (try 'help')\n", verb)
-	}
-}
-
 // maxDiscoverLHS bounds max_lhs on the serving endpoint: the candidate
 // lattice is exponential in it, and a config change pays a full
 // scoring pass under the monitor's write locks — an unbounded value
 // would let one cheap GET stall every writer for minutes.
 const maxDiscoverLHS = 3
 
-// discoverConfig parses the /discover query params into a mining config,
+// discoverConfig parses the /v1/discover query params into a mining config,
 // normalized to the miner's documented defaults so that an explicit
 // "?max_lhs=1" (or a zero value the miner would default) and a bare
 // request share one cached miner.
@@ -870,98 +608,7 @@ func (s *server) suggesterFor(thr float64) (*repro.RepairSuggester, error) {
 	return sg, nil
 }
 
-// --- error envelope ---
-
-// apiError is the uniform error envelope every endpoint (here and in
-// cmd/cfdrouter) answers failures with:
-//
-//	{"error": {"code": "...", "message": "...", "epoch": E?}}
-//
-// Code is the machine-dispatched classification; Epoch rides along on
-// "fenced" errors so the caller can refresh its token without another
-// round trip.
-type apiError struct {
-	Code    string  `json:"code"`
-	Message string  `json:"message"`
-	Epoch   *uint64 `json:"epoch,omitempty"`
-}
-
-// codeFor maps a response status to the envelope code; role errors
-// ("fenced", "read_only") are stamped explicitly by mutErr instead.
-func codeFor(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusForbidden:
-		return "fenced"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusGone:
-		return "stale_cursor"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: codeFor(status), Message: err.Error()}})
-}
-
-func printDelta(out io.Writer, d *repro.ViolationDelta) {
-	for _, c := range d.Added {
-		fmt.Fprintf(out, "+ %s\n", c)
-	}
-	for _, c := range d.Removed {
-		fmt.Fprintf(out, "- %s\n", c)
-	}
-	if d.Empty() {
-		fmt.Fprintln(out, "no violation change")
-	}
-}
-
 // --- HTTP API ---
-
-type jsonChange struct {
-	CFD   int      `json:"cfd"`
-	Kind  string   `json:"kind"`
-	Tuple *int64   `json:"tuple,omitempty"`
-	Key   []string `json:"key,omitempty"`
-}
-
-type jsonDelta struct {
-	Added   []jsonChange `json:"added"`
-	Removed []jsonChange `json:"removed"`
-}
-
-func toJSONDelta(d *repro.ViolationDelta) jsonDelta {
-	conv := func(cs []repro.ViolationChange) []jsonChange {
-		out := make([]jsonChange, 0, len(cs))
-		for _, c := range cs {
-			jc := jsonChange{CFD: c.CFD, Kind: c.Kind.String()}
-			if c.Kind == repro.ConstViolation {
-				tuple := c.Tuple
-				jc.Tuple = &tuple
-			} else {
-				jc.Key = c.Key
-			}
-			out = append(out, jc)
-		}
-		return out
-	}
-	return jsonDelta{Added: conv(d.Added), Removed: conv(d.Removed)}
-}
 
 type jsonEdit struct {
 	Key  int64  `json:"key"`
@@ -1003,29 +650,7 @@ func toJSONSuggestion(sg *repro.RepairSuggestion) jsonSuggestion {
 	return out
 }
 
-// statusWriter records the response status so the middleware can count
-// error responses; an implicit 200 (first Write without WriteHeader) is
-// recorded too.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// buildInfo is the binary's identity for GET /stats, computed once: the
+// buildInfo is the binary's identity for GET /v1/stats, computed once: the
 // Go version is always present, the rest as the build embedded it.
 var buildInfo = sync.OnceValue(func() map[string]any {
 	info := map[string]any{"go": runtime.Version()}
@@ -1062,178 +687,78 @@ func (s *server) applyMut(r *http.Request, cs *repro.ChangeSet) (*repro.Violatio
 }
 
 func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	reg := s.metrics()
-	// handle wraps every endpoint in its per-path request metrics: a
-	// request counter, an error counter (status >= 400), and a latency
-	// histogram. The handles are registered up front so the hot path
-	// only does atomic adds.
-	handle := func(path string, h http.HandlerFunc) {
-		reqs := reg.Counter("cfdserve_http_requests_total", "HTTP requests served, by endpoint.", obs.L("path", path))
-		errs := reg.Counter("cfdserve_http_errors_total", "HTTP responses with status >= 400, by endpoint.", obs.L("path", path))
-		dur := reg.DurationHistogram("cfdserve_http_request_seconds", "HTTP request latency, by endpoint.", obs.L("path", path))
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := statusWriter{ResponseWriter: w}
-			h(&sw, r)
-			reqs.Inc()
-			if sw.status >= 400 {
-				errs.Inc()
-			}
-			dur.ObserveSince(start)
-		})
-	}
-	// route registers an endpoint under /v1 and at its deprecated
-	// unversioned alias (kept one release; see docs/operations.md). Each
-	// spelling carries its own per-path metric series, so alias traffic
-	// is visible during the migration window. New endpoints (the repair
-	// surface) register via handle("/v1/...") only.
-	route := func(path string, h http.HandlerFunc) {
-		handle("/v1"+path, h)
-		handle(path, h)
-	}
-	readBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return false
-		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-			return false
-		}
-		return true
-	}
-	// mutErr maps a refused mutation onto the envelope's role codes: a
-	// fenced node answers 403 "fenced" with its current epoch (the
-	// caller's token is stale — re-query and retry), a read-only standby
-	// answers 409 "read_only" (promote it or write to the primary), and
-	// anything else is the caller's bad request at the fallback status.
-	mutErr := func(w http.ResponseWriter, err error, fallback int) {
+	mux := httpapi.NewMux("cfdserve", s.metrics())
+	// apply runs a mutation's ChangeSet through applyMut. A refusal is
+	// answered here with the envelope's role codes — a fenced node
+	// answers 403 "fenced" with its current epoch (the caller's token is
+	// stale — re-query and retry), a read-only standby 409 "read_only"
+	// (promote it or write to the primary), anything else is the
+	// caller's bad request at the fallback status — and reported as !ok.
+	apply := func(w http.ResponseWriter, r *http.Request, cs *repro.ChangeSet, fallback int) (*repro.ViolationDelta, bool) {
+		delta, err := s.applyMut(r, cs)
 		switch {
+		case err == nil:
+			return delta, true
 		case errors.Is(err, repro.ErrMonitorFenced):
 			epoch := s.mon().Epoch()
-			writeJSON(w, http.StatusForbidden, map[string]apiError{"error": {Code: "fenced", Message: err.Error(), Epoch: &epoch}})
+			httpapi.WriteError(w, http.StatusForbidden, httpapi.Error{Code: "fenced", Message: err.Error(), Epoch: &epoch})
 		case errors.Is(err, repro.ErrMonitorReadOnly):
-			writeJSON(w, http.StatusConflict, map[string]apiError{"error": {Code: "read_only", Message: err.Error()}})
+			httpapi.WriteError(w, http.StatusConflict, httpapi.Error{Code: "read_only", Message: err.Error()})
 		default:
-			writeErr(w, fallback, err)
+			httpapi.WriteErr(w, fallback, err)
 		}
+		return nil, false
 	}
 
-	route("/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Values []string `json:"values"`
-			// Key, when present, is a caller-chosen key (a router that
-			// owns the key space); absent means the node allocates.
-			Key *int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
+	// The single-op forms of /v1/apply. An insert may carry a
+	// caller-chosen "key" (a router that owns the key space); absent, the
+	// node allocates.
+	mux.Handle("/v1/insert", func(w http.ResponseWriter, r *http.Request) {
+		cs, ok := httpapi.DecodeOne(w, r, "insert")
+		if !ok {
 			return
 		}
-		var cs repro.ChangeSet
-		if req.Key != nil {
-			cs.InsertKeyed(*req.Key, repro.Tuple(req.Values))
-		} else {
-			cs.Insert(repro.Tuple(req.Values))
+		if delta, ok := apply(w, r, cs, http.StatusBadRequest); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": cs.Ops[0].Key, "delta": httpapi.EncodeDelta(delta)})
 		}
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"key": cs.Ops[0].Key, "delta": toJSONDelta(delta)})
 	})
-	route("/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
+	mux.Handle("/v1/delete", func(w http.ResponseWriter, r *http.Request) {
+		cs, ok := httpapi.DecodeOne(w, r, "delete")
+		if !ok {
 			return
 		}
-		var cs repro.ChangeSet
-		cs.Delete(req.Key)
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusNotFound)
-			return
+		if delta, ok := apply(w, r, cs, http.StatusNotFound); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"delta": httpapi.EncodeDelta(delta)})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"delta": toJSONDelta(delta)})
 	})
-	route("/update", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key   int64  `json:"key"`
-			Attr  string `json:"attr"`
-			Value string `json:"value"`
-		}
-		if !readBody(w, r, &req) {
+	mux.Handle("/v1/update", func(w http.ResponseWriter, r *http.Request) {
+		cs, ok := httpapi.DecodeOne(w, r, "update")
+		if !ok {
 			return
 		}
-		var cs repro.ChangeSet
-		cs.Update(req.Key, req.Attr, req.Value)
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
+		if delta, ok := apply(w, r, cs, http.StatusBadRequest); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"delta": httpapi.EncodeDelta(delta)})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"delta": toJSONDelta(delta)})
 	})
 	// Batched ingest: one ChangeSet per request, applied atomically as a
 	// single WAL record. Inserted keys come back in op order.
-	route("/apply", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/apply", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Ops []struct {
-				Op string `json:"op"`
-				// Key targets delete/update; on an insert it is the
-				// optional caller-chosen key (routed writes).
-				Values []string `json:"values,omitempty"`
-				Key    *int64   `json:"key,omitempty"`
-				Attr   string   `json:"attr,omitempty"`
-				Value  string   `json:"value,omitempty"`
-			} `json:"ops"`
+			Ops []httpapi.Op `json:"ops"`
 		}
-		if !readBody(w, r, &req) {
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
-		var cs repro.ChangeSet
-		for i, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: delete requires a key", i))
-					return
-				}
-				cs.Delete(*o.Key)
-			case "update":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: update requires a key", i))
-					return
-				}
-				cs.Update(*o.Key, o.Attr, o.Value)
-			default:
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: unknown op %q", i, o.Op))
-				return
-			}
-		}
-		delta, err := s.applyMut(r, &cs)
+		cs, err := httpapi.DecodeOps(req.Ops)
 		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
-		keys := make([]int64, 0, len(cs.Ops))
-		for i := range cs.Ops {
-			if cs.Ops[i].Kind == repro.OpInsert {
-				keys = append(keys, cs.Ops[i].Key)
-			}
+		if delta, ok := apply(w, r, cs, http.StatusBadRequest); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{
+				"ops": cs.Len(), "keys": httpapi.InsertedKeys(cs), "delta": httpapi.EncodeDelta(delta),
+			})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ops": cs.Len(), "keys": keys, "delta": toJSONDelta(delta),
-		})
 	})
 	// GET /violations serves the maintained violation view (a pointer
 	// load at an unchanged version, never a shard scan). Query surface:
@@ -1245,7 +770,7 @@ func (s *server) handler() http.Handler {
 	// The response carries ETag "v<version>"; a poll with If-None-Match
 	// at the current version is answered 304 from the version counter
 	// alone, without materializing anything.
-	route("/violations", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/violations", func(w http.ResponseWriter, r *http.Request) {
 		type perCFD struct {
 			CFD          int        `json:"cfd"`
 			ConstTuples  []int64    `json:"const_tuples"`
@@ -1255,12 +780,12 @@ func (s *server) handler() http.Handler {
 		if ks := q.Get("key"); ks != "" {
 			key, err := strconv.ParseInt(ks, 10, 64)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q", ks))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q", ks))
 				return
 			}
 			st, ok := s.mon().ViolationsFor(key)
 			if !ok {
-				writeErr(w, http.StatusNotFound, fmt.Errorf("no tuple with key %d", key))
+				httpapi.WriteErr(w, http.StatusNotFound, fmt.Errorf("no tuple with key %d", key))
 				return
 			}
 			out := make([]perCFD, 0, len(st.PerCFD))
@@ -1269,7 +794,7 @@ func (s *server) handler() http.Handler {
 					out = append(out, perCFD{CFD: i, ConstTuples: v.ConstTuples, VariableKeys: v.VariableKeys})
 				}
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"key": key, "per_cfd": out, "total": st.Total()})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "per_cfd": out, "total": st.Total()})
 			return
 		}
 		etag := fmt.Sprintf("%q", fmt.Sprintf("v%d", s.mon().ViewVersion()))
@@ -1285,7 +810,7 @@ func (s *server) handler() http.Handler {
 		if cs := q.Get("cfd"); cs != "" {
 			i, err := strconv.Atoi(cs)
 			if err != nil || i < 0 || i >= len(st.PerCFD) {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cfd %q (have %d)", cs, len(st.PerCFD)))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad cfd %q (have %d)", cs, len(st.PerCFD)))
 				return
 			}
 			cfdSel = i
@@ -1294,7 +819,7 @@ func (s *server) handler() http.Handler {
 		if ls := q.Get("limit"); ls != "" {
 			n, err := strconv.Atoi(ls)
 			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
 				return
 			}
 			limit = n
@@ -1303,11 +828,11 @@ func (s *server) handler() http.Handler {
 		if cur := q.Get("cursor"); cur != "" {
 			var cv uint64
 			if _, err := fmt.Sscanf(cur, "v%d:%d", &cv, &offset); err != nil || offset < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
 				return
 			}
 			if cv != view.Version() {
-				writeErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (view is at v%d)", cur, view.Version()))
+				httpapi.WriteErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (view is at v%d)", cur, view.Version()))
 				return
 			}
 		}
@@ -1352,7 +877,7 @@ func (s *server) handler() http.Handler {
 		if limit > 0 && emitted > 0 && offset+emitted < total {
 			resp["next_cursor"] = fmt.Sprintf("v%d:%d", view.Version(), offset+emitted)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpapi.WriteJSON(w, http.StatusOK, resp)
 	})
 	// GET /v1/repairs serves the live repair suggester: cost-ranked fix
 	// suggestions for the current violation set, re-planned in O(Δ)
@@ -1364,10 +889,9 @@ func (s *server) handler() http.Handler {
 	//                       source: CFDs below confidence F suggest
 	//                       relaxation instead of data edits
 	// The response carries ETag "r<version>"; a poll with If-None-Match
-	// at the current version is answered 304. /v1 only — no legacy alias.
-	handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+	// at the current version is answered 304.
+	mux.Handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodGet) {
 			return
 		}
 		q := r.URL.Query()
@@ -1375,7 +899,7 @@ func (s *server) handler() http.Handler {
 		if v := q.Get("trust_threshold"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || f < 0 || f > 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad trust_threshold %q (want 0..1)", v))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad trust_threshold %q (want 0..1)", v))
 				return
 			}
 			thr = f
@@ -1384,14 +908,14 @@ func (s *server) handler() http.Handler {
 		if ls := q.Get("limit"); ls != "" {
 			n, err := strconv.Atoi(ls)
 			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
 				return
 			}
 			limit = n
 		}
 		sg, err := s.suggesterFor(thr)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		sg.Refresh()
@@ -1406,11 +930,11 @@ func (s *server) handler() http.Handler {
 		if cur := q.Get("cursor"); cur != "" {
 			var cv uint64
 			if _, err := fmt.Sscanf(cur, "r%d:%d", &cv, &offset); err != nil || offset < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
 				return
 			}
 			if cv != version {
-				writeErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (suggestions are at r%d)", cur, version))
+				httpapi.WriteErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (suggestions are at r%d)", cur, version))
 				return
 			}
 		}
@@ -1430,30 +954,30 @@ func (s *server) handler() http.Handler {
 		if end < len(sugs) {
 			resp["next_cursor"] = fmt.Sprintf("r%d:%d", version, end)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpapi.WriteJSON(w, http.StatusOK, resp)
 	})
 	// POST /v1/repairs/apply converts accepted suggestion ids into one
 	// ordinary ChangeSet and applies it through the same path as
-	// POST /apply — fencing (X-Cfd-Epoch), WAL, group commit and
+	// POST /v1/apply — fencing (X-Cfd-Epoch), WAL, group commit and
 	// replication all unchanged. Unknown or retired ids answer 404; the
 	// client re-fetches /v1/repairs and retries.
-	handle("/v1/repairs/apply", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/repairs/apply", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			IDs []string `json:"ids"`
 			// TrustThreshold selects the same cached suggester a prior
 			// GET /v1/repairs?trust_threshold=F attached.
 			TrustThreshold float64 `json:"trust_threshold"`
 		}
-		if !readBody(w, r, &req) {
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
 		if len(req.IDs) == 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("ids is empty"))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("ids is empty"))
 			return
 		}
 		sg, err := s.suggesterFor(req.TrustThreshold)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		sg.Refresh()
@@ -1463,7 +987,7 @@ func (s *server) handler() http.Handler {
 			if errors.Is(err, repro.ErrUnknownRepairSuggestion) {
 				status = http.StatusNotFound
 			}
-			writeErr(w, status, err)
+			httpapi.WriteErr(w, status, err)
 			return
 		}
 		jes := make([]jsonEdit, 0, len(edits))
@@ -1473,18 +997,15 @@ func (s *server) handler() http.Handler {
 		if cs.Len() == 0 {
 			// Every accepted edit already holds (another client fixed the
 			// data first); nothing to journal.
-			writeJSON(w, http.StatusOK, map[string]any{"ops": 0, "edits": jes, "delta": toJSONDelta(&repro.ViolationDelta{})})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ops": 0, "edits": jes, "delta": httpapi.EncodeDelta(&repro.ViolationDelta{})})
 			return
 		}
-		delta, err := s.applyMut(r, cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
+		if delta, ok := apply(w, r, cs, http.StatusBadRequest); ok {
+			sg.Refresh()
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ops": cs.Len(), "edits": jes, "delta": httpapi.EncodeDelta(delta)})
 		}
-		sg.Refresh()
-		writeJSON(w, http.StatusOK, map[string]any{"ops": cs.Len(), "edits": jes, "delta": toJSONDelta(delta)})
 	})
-	route("/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		role := "primary"
 		if s.mon().ReadOnly() {
 			role = "follower"
@@ -1533,42 +1054,32 @@ func (s *server) handler() http.Handler {
 			}
 			stats["replica"] = replica
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpapi.WriteJSON(w, http.StatusOK, stats)
 	})
 	// Prometheus text exposition of everything on the node's registry:
 	// the monitor's hot-path series plus the middleware's own.
-	route("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WritePrometheus(w); err != nil {
-			s.logger().Error("metrics scrape failed", "error", err)
-		}
-	})
+	mux.Handle("/v1/metrics", httpapi.Metrics(s.metrics()))
 	// Streaming discovery: the current mined CFD set under the config the
 	// query params select. The miner re-scores incrementally between
 	// calls; only a config change pays a full pass.
-	route("/discover", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+	mux.Handle("/v1/discover", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodGet) {
 			return
 		}
 		cfg, err := discoverConfig(r.URL.Query())
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		mi, err := s.minerFor(cfg)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		mi.Refresh()
 		ds, err := mi.Mined()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			httpapi.WriteErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		type mined struct {
@@ -1582,7 +1093,7 @@ func (s *server) handler() http.Handler {
 		for i, d := range ds {
 			out[i] = mined{LHS: d.CFD.LHS, RHS: d.CFD.RHS, IsFD: d.IsFD, Support: d.Support, CFD: d.CFD.String()}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"config": map[string]any{
 				"max_lhs":        cfg.MaxLHS,
 				"min_support":    cfg.MinSupport,
@@ -1596,9 +1107,8 @@ func (s *server) handler() http.Handler {
 	})
 	// Admin: force a snapshot now — roll the WAL generation without
 	// waiting for the record-count or interval triggers.
-	route("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+	mux.Handle("/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodPost) {
 			return
 		}
 		if err := s.mon().ForceSnapshot(); err != nil {
@@ -1609,33 +1119,32 @@ func (s *server) handler() http.Handler {
 			if !s.mon().JournalStats().Durable || errors.Is(err, repro.ErrMonitorReadOnly) {
 				status = http.StatusConflict
 			}
-			writeErr(w, status, err)
+			httpapi.WriteErr(w, status, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"generation": s.mon().JournalStats().Generation})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"generation": s.mon().JournalStats().Generation})
 	})
 	// Admin: flip a follower into a writable primary at the record
 	// boundary it has applied. Idempotent; 409 on a node that is not
 	// following anything.
-	route("/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+	mux.Handle("/v1/promote", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodPost) {
 			return
 		}
 		f := s.fol()
 		if f == nil {
-			writeErr(w, http.StatusConflict, fmt.Errorf("not a follower"))
+			httpapi.WriteErr(w, http.StatusConflict, fmt.Errorf("not a follower"))
 			return
 		}
 		if err := f.Promote(); err != nil {
 			// A closed follower (mid-resync) cannot be promoted — the
 			// node's state conflicts with the request; retry once the
 			// resync lands.
-			writeErr(w, http.StatusConflict, err)
+			httpapi.WriteErr(w, http.StatusConflict, err)
 			return
 		}
 		st := f.Status()
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"promoted": true, "seq": st.Seq, "offset": st.Offset,
 			"applied_records": st.AppliedRecords, "epoch": f.Monitor().Epoch(),
 		})
@@ -1644,23 +1153,22 @@ func (s *server) handler() http.Handler {
 	// a lower term from now on. A router calls this on the deposed
 	// primary right after promoting a standby; idempotent (Fence only
 	// ever raises the watermark), safe on any role.
-	route("/fence", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/v1/fence", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Epoch uint64 `json:"epoch"`
 		}
-		if !readBody(w, r, &req) {
+		if !httpapi.DecodePost(w, r, &req) {
 			return
 		}
 		s.mon().Fence(req.Epoch)
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"epoch": s.mon().Epoch(), "fenced": s.mon().Fenced(),
 		})
 	})
 	// WAL shipping: the newest snapshot image, for a follower's initial
 	// sync (or resync after falling below the retention window).
-	route("/wal/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+	mux.Handle("/v1/wal/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodGet) {
 			return
 		}
 		seq, rc, size, err := s.mon().ShipSnapshot()
@@ -1669,7 +1177,7 @@ func (s *server) handler() http.Handler {
 			if !s.mon().JournalStats().Durable {
 				status = http.StatusConflict
 			}
-			writeErr(w, status, err)
+			httpapi.WriteErr(w, status, err)
 			return
 		}
 		defer rc.Close()
@@ -1682,23 +1190,22 @@ func (s *server) handler() http.Handler {
 	// (generation, offset) cursor. The body is raw framed records; the
 	// cursor protocol lives in the X-Wal-* headers. 410 Gone tells the
 	// follower its cursor fell below the retention window.
-	route("/wal/stream", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+	mux.Handle("/v1/wal/stream", func(w http.ResponseWriter, r *http.Request) {
+		if !httpapi.Method(w, r, http.MethodGet) {
 			return
 		}
 		q := r.URL.Query()
 		var seq uint64
 		var off int64
 		if _, err := fmt.Sscanf(q.Get("from"), "%d,%d", &seq, &off); err != nil || off < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q (want from=SEQ,OFFSET)", q.Get("from")))
+			httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q (want from=SEQ,OFFSET)", q.Get("from")))
 			return
 		}
 		maxBytes := 1 << 20
 		if v := q.Get("max"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad max %q", v))
+				httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad max %q", v))
 				return
 			}
 			maxBytes = n
@@ -1712,7 +1219,7 @@ func (s *server) handler() http.Handler {
 			case !s.mon().JournalStats().Durable:
 				status = http.StatusConflict
 			}
-			writeErr(w, status, err)
+			httpapi.WriteErr(w, status, err)
 			return
 		}
 		h := w.Header()
@@ -1770,31 +1277,12 @@ func (h *httpSource) get(ctx context.Context, path string) (*http.Response, erro
 }
 
 // httpErr folds a non-200 response into an error, preserving
-// ErrWALSegmentGone across the wire via 410. The body is the uniform
-// envelope {"error": {"code", "message"}}; the legacy flat form
-// {"error": "msg"} from a pre-/v1 primary is still understood. Every
-// other error STATUS still proves the primary is alive and answering,
-// so it carries ErrPrimaryResponded — the follower retries on it but
-// never arms -promote-after (only transport-level failures may).
+// ErrWALSegmentGone across the wire via 410. Every other error STATUS
+// still proves the primary is alive and answering, so it carries
+// ErrPrimaryResponded — the follower retries on it but never arms
+// -promote-after (only transport-level failures may).
 func httpErr(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var env struct {
-		Error apiError `json:"error"`
-	}
-	msg := ""
-	if err := json.Unmarshal(raw, &env); err == nil {
-		msg = env.Error.Message
-	} else {
-		var flat struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &flat) == nil {
-			msg = flat.Error
-		}
-	}
-	if msg == "" {
-		msg = resp.Status
-	}
+	msg := httpapi.ReadError(resp).Message
 	if resp.StatusCode == http.StatusGone {
 		return fmt.Errorf("primary: %s: %w", msg, repro.ErrWALSegmentGone)
 	}

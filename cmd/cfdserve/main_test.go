@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
 const custCSV = `CC,AC,PN,NM,STR,CT,ZIP
@@ -54,63 +55,6 @@ func newTestServer(t *testing.T) *server {
 		t.Fatal(err)
 	}
 	return srv
-}
-
-func TestLineProtocol(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"stats",
-		"satisfied",
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`, // disagrees with Mike on CT and violates 908→MH
-		"violations",
-		"update 2 CT MH", // heal both violations
-		"satisfied",
-		"delete 2",
-		"delete 2", // double delete errors
-		"bogus",
-		"quit",
-		"stats", // never reached
-	}, "\n"))
-	var out bytes.Buffer
-	srv.lineLoop(in, &out)
-	text := out.String()
-	for _, want := range []string{
-		"tuples=2 violations=0 satisfied=true",
-		"true",
-		"key 2",
-		"+ cfd 1 const tuple 2",
-		"+ cfd 1 variable key (01, 908, 1111111)",
-		"cfd 1: 1 constant-violating tuples, 1 conflicting groups",
-		"updated 2",
-		"- cfd 1 const tuple 2",
-		"- cfd 1 variable key (01, 908, 1111111)",
-		"deleted 2",
-		"error: incremental: no tuple with key 2",
-		`unknown command "bogus"`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-	if strings.Count(text, "tuples=") != 1 {
-		t.Errorf("quit did not stop the loop:\n%s", text)
-	}
-}
-
-func TestLineProtocolErrors(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"insert onlyone",
-		"delete notakey",
-		"update 0",
-		"update x CT NYC",
-		"update 0 NOPE x",
-	}, "\n"))
-	var out bytes.Buffer
-	srv.lineLoop(in, &out)
-	if got := strings.Count(out.String(), "error:"); got != 5 {
-		t.Errorf("want 5 errors, got %d:\n%s", got, out.String())
-	}
 }
 
 func TestHTTPAPI(t *testing.T) {
@@ -153,16 +97,16 @@ func TestHTTPAPI(t *testing.T) {
 		Violations int64 `json:"violations"`
 		Satisfied  bool  `json:"satisfied"`
 	}
-	getJSON("/stats", &stats)
+	getJSON("/v1/stats", &stats)
 	if stats.Tuples != 2 || !stats.Satisfied {
 		t.Fatalf("initial stats = %+v", stats)
 	}
 
 	var ins struct {
-		Key   int64     `json:"key"`
-		Delta jsonDelta `json:"delta"`
+		Key   int64         `json:"key"`
+		Delta httpapi.Delta `json:"delta"`
 	}
-	code := postJSON("/insert", map[string]any{
+	code := postJSON("/v1/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	}, &ins)
 	if code != http.StatusOK || ins.Key != 2 {
@@ -175,32 +119,32 @@ func TestHTTPAPI(t *testing.T) {
 	var viol struct {
 		Total int `json:"total"`
 	}
-	getJSON("/violations", &viol)
+	getJSON("/v1/violations", &viol)
 	if viol.Total != 2 {
 		t.Fatalf("violations total = %d, want 2", viol.Total)
 	}
 
 	var upd struct {
-		Delta jsonDelta `json:"delta"`
+		Delta httpapi.Delta `json:"delta"`
 	}
-	if code := postJSON("/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"}, &upd); code != http.StatusOK {
+	if code := postJSON("/v1/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"}, &upd); code != http.StatusOK {
 		t.Fatalf("update: code=%d", code)
 	}
 	if len(upd.Delta.Removed) != 2 {
 		t.Fatalf("update delta = %+v, want 2 removed", upd.Delta)
 	}
 
-	if code := postJSON("/delete", map[string]any{"key": 2}, nil); code != http.StatusOK {
+	if code := postJSON("/v1/delete", map[string]any{"key": 2}, nil); code != http.StatusOK {
 		t.Fatalf("delete: code=%d", code)
 	}
-	if code := postJSON("/delete", map[string]any{"key": 2}, nil); code != http.StatusNotFound {
+	if code := postJSON("/v1/delete", map[string]any{"key": 2}, nil); code != http.StatusNotFound {
 		t.Fatalf("double delete: code=%d, want 404", code)
 	}
-	if code := postJSON("/insert", map[string]any{"values": []string{"x"}}, nil); code != http.StatusBadRequest {
+	if code := postJSON("/v1/insert", map[string]any{"values": []string{"x"}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad arity insert: code=%d, want 400", code)
 	}
 	// GET on a POST endpoint is rejected.
-	resp, err := http.Get(ts.URL + "/insert")
+	resp, err := http.Get(ts.URL + "/v1/insert")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,62 +153,13 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("GET /insert: code=%d, want 405", resp.StatusCode)
 	}
 
-	getJSON("/stats", &stats)
+	getJSON("/v1/stats", &stats)
 	if stats.Tuples != 2 || !stats.Satisfied {
 		t.Fatalf("final stats = %+v", stats)
 	}
 }
 
-// TestLineProtocolBatch: a BATCH…END frame applies as one ChangeSet —
-// inserted keys echoed in op order, one combined delta, all-or-nothing
-// on bad frames.
-func TestLineProtocolBatch(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"batch",
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`, // violates 908→MH + group
-		"update 2 CT MH", // ...healed within the same batch
-		`insert 01,212,9999999,Pam,"Elm Str.",NYC,11111`,
-		"end",
-		"stats",
-		"batch", // a frame with an invalid op is discarded whole...
-		"delete 0",
-		"bogus op",
-		"delete 1", // ...and later op lines stay inside the dead frame
-		"end",
-		"batch",
-		"delete 3",
-		"abort",
-		"stats",
-		"quit",
-	}, "\n"))
-	var out bytes.Buffer
-	if err := srv.lineLoop(in, &out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"batch open",
-		"applied 3 ops",
-		"key 2",
-		"key 3",
-		"no violation change", // insert+heal in one batch nets to zero
-		"tuples=4 violations=0 satisfied=true",
-		`unknown op "bogus" in batch`,
-		"batch discarded: earlier op was malformed, nothing applied",
-		"batch discarded",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-	// The discarded frames applied nothing: still 4 tuples at the end.
-	if strings.Count(text, "tuples=4") != 2 {
-		t.Errorf("aborted/invalid batches changed state:\n%s", text)
-	}
-}
-
-// TestHTTPApply: POST /apply runs a ChangeSet atomically and reports the
+// TestHTTPApply: POST /v1/apply runs a ChangeSet atomically and reports the
 // inserted keys and the combined delta.
 func TestHTTPApply(t *testing.T) {
 	srv := newTestServer(t)
@@ -274,7 +169,7 @@ func TestHTTPApply(t *testing.T) {
 	post := func(body any) (int, map[string]json.RawMessage) {
 		t.Helper()
 		b, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+"/apply", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,11 +237,20 @@ func TestNewServerErrors(t *testing.T) {
 	if _, err := newServer(data, bad, repro.MonitorOptions{}); err == nil {
 		t.Error("bad CFD file must error")
 	}
+	// Σ with no nonempty model (paper §3.1): every tuple would violate it
+	// forever, so the node must refuse to boot.
+	inconsistent := filepath.Join(dir, "inconsistent.txt")
+	if err := os.WriteFile(inconsistent, []byte("[CC] -> [CT=MH]\n[CC] -> [CT=NYC]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newServer(data, inconsistent, repro.MonitorOptions{}); err == nil {
+		t.Error("inconsistent CFD set must error")
+	}
 }
 
-// TestDurableServerRestart: a -wal-dir server journals its writes, and a
-// restarted server resumes the acknowledged state instead of reloading
-// the CSV.
+// TestDurableServerRestart: a -wal-dir server journals its HTTP writes,
+// and a restarted server resumes the acknowledged state instead of
+// reloading the CSV.
 func TestDurableServerRestart(t *testing.T) {
 	data, cfds := writeInputs(t)
 	walDir := filepath.Join(t.TempDir(), "wal")
@@ -356,19 +260,23 @@ func TestDurableServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	srv.lineLoop(strings.NewReader(strings.Join([]string{
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`,
-		"snapshot",
-		`insert 01,908,1111111,Ann,"Tree Ave.",MH,07974`,
-		"stats",
-	}, "\n")), &out)
-	if !strings.Contains(out.String(), "snapshot done, generation 2") {
-		t.Fatalf("snapshot command failed:\n%s", out.String())
+	ts := httptest.NewServer(srv.handler())
+	row := func(name, ct string) string {
+		return `{"values":["01","908","1111111","` + name + `","Tree Ave.","` + ct + `","07974"]}`
 	}
-	if !strings.Contains(out.String(), "wal dir=") {
-		t.Fatalf("stats missing wal line:\n%s", out.String())
+	if code, res := postJSON(t, ts.URL+"/v1/insert", row("Rick", "NYC")); code != http.StatusOK {
+		t.Fatalf("insert: %d %v", code, res)
 	}
+	if code, res := postJSON(t, ts.URL+"/v1/snapshot", ""); code != http.StatusOK || res["generation"] != 2.0 {
+		t.Fatalf("snapshot: %d %v, want generation 2", code, res)
+	}
+	if code, res := postJSON(t, ts.URL+"/v1/insert", row("Ann", "MH")); code != http.StatusOK {
+		t.Fatalf("insert after snapshot: %d %v", code, res)
+	}
+	if _, st := getJSONCode(t, ts.URL+"/v1/stats"); st["wal"] == nil {
+		t.Fatalf("stats missing wal block: %v", st)
+	}
+	ts.Close()
 	wantViolations := srv.mon().ViolationCount()
 	wantLen := srv.mon().Len()
 	if err := srv.close(); err != nil {
@@ -401,7 +309,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +324,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("POST /snapshot: code=%d generation=%d", resp.StatusCode, snap.Generation)
 	}
 
-	resp, err = http.Get(ts.URL + "/snapshot")
+	resp, err = http.Get(ts.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +338,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 			Generation uint64 `json:"generation"`
 		} `json:"wal"`
 	}
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +353,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	plain := newTestServer(t)
 	tsPlain := httptest.NewServer(plain.handler())
 	defer tsPlain.Close()
-	resp, err = http.Post(tsPlain.URL+"/snapshot", "application/json", nil)
+	resp, err = http.Post(tsPlain.URL+"/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,10 +373,10 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.serveHTTP(ctx, lis) }()
+	go func() { done <- httpapi.Serve(ctx, lis, srv.handler()) }()
 
 	url := "http://" + lis.Addr().String()
-	resp, err := http.Get(url + "/stats")
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +394,7 @@ func TestGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveHTTP did not return after context cancellation")
 	}
-	if _, err := http.Get(url + "/stats"); err == nil {
+	if _, err := http.Get(url + "/v1/stats"); err == nil {
 		t.Fatal("server still accepting connections after shutdown")
 	}
 }
@@ -540,7 +448,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 	}
 
 	// Two singleton groups per pair: nothing has enough evidence yet.
-	first := get("/discover", http.StatusOK)
+	first := get("/v1/discover", http.StatusOK)
 	if first.Tuples != 2 {
 		t.Fatalf("tuples = %d, want 2", first.Tuples)
 	}
@@ -551,12 +459,12 @@ func TestDiscoverEndpoint(t *testing.T) {
 	// A second 908/MH tuple gives AC → CT a supported testing group; the
 	// next /discover re-scores incrementally and mines it as an FD.
 	body := strings.NewReader(`{"values":["01","908","1111111","Rick","Tree Ave.","MH","07974"]}`)
-	resp, err := http.Post(ts.URL+"/insert", "application/json", body)
+	resp, err := http.Post(ts.URL+"/v1/insert", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	second := get("/discover", http.StatusOK)
+	second := get("/v1/discover", http.StatusOK)
 	if !hasFD(second, "AC", "CT") {
 		t.Fatalf("AC → CT should be mined after the insert: %+v", second.Mined)
 	}
@@ -565,23 +473,23 @@ func TestDiscoverEndpoint(t *testing.T) {
 	}
 
 	// A stricter config re-attaches the miner: evidence 2 < min_support 3.
-	strict := get("/discover?min_support=3", http.StatusOK)
+	strict := get("/v1/discover?min_support=3", http.StatusOK)
 	if hasFD(strict, "AC", "CT") {
 		t.Errorf("min_support=3 should drop the evidence-2 FD: %+v", strict.Mined)
 	}
 
 	// Invalid configs and methods are rejected; max_lhs is capped on the
 	// serving surface (an attach quiesces writers).
-	get("/discover?min_confidence=2", http.StatusBadRequest)
-	get("/discover?max_patterns=-1", http.StatusBadRequest)
-	get("/discover?max_lhs=zap", http.StatusBadRequest)
-	get("/discover?max_lhs=9", http.StatusBadRequest)
+	get("/v1/discover?min_confidence=2", http.StatusBadRequest)
+	get("/v1/discover?max_patterns=-1", http.StatusBadRequest)
+	get("/v1/discover?max_lhs=zap", http.StatusBadRequest)
+	get("/v1/discover?max_lhs=9", http.StatusBadRequest)
 	// Zero values normalize to the defaults (same cached miner, not a
 	// re-attach) and serve fine.
-	if norm := get("/discover?max_lhs=0&min_support=0", http.StatusOK); norm.Count != strict.Count && norm.Tuples != 3 {
+	if norm := get("/v1/discover?max_lhs=0&min_support=0", http.StatusOK); norm.Count != strict.Count && norm.Tuples != 3 {
 		t.Errorf("normalized default config should serve: %+v", norm)
 	}
-	if resp, err := http.Post(ts.URL+"/discover", "application/json", strings.NewReader("{}")); err != nil {
+	if resp, err := http.Post(ts.URL+"/v1/discover", "application/json", strings.NewReader("{}")); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -607,7 +515,7 @@ func TestStatsShape(t *testing.T) {
 		t.Helper()
 		ts := httptest.NewServer(srv.handler())
 		defer ts.Close()
-		resp, err := http.Get(ts.URL + "/stats")
+		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -669,20 +577,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	body := strings.NewReader(`{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
-	resp, err := http.Post(ts.URL+"/insert", "application/json", body)
+	resp, err := http.Post(ts.URL+"/v1/insert", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	// A first scrape, so the second sees /metrics' own request counted.
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,9 +615,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cfd_violations_added_total 2",
 		"cfd_tuples 3",
 		"cfd_violations 2",
-		`cfdserve_http_requests_total{path="/insert"} 1`,
-		`cfdserve_http_requests_total{path="/metrics"} 1`,
-		`cfdserve_http_request_seconds_count{path="/insert"} 1`,
+		`cfdserve_http_requests_total{path="/v1/insert"} 1`,
+		`cfdserve_http_requests_total{path="/v1/metrics"} 1`,
+		`cfdserve_http_request_seconds_count{path="/v1/insert"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("scrape missing %q:\n%s", want, text)
@@ -719,7 +627,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("scrape has %d families, want >= 15:\n%s", families, text)
 	}
 
-	resp, err = http.Post(ts.URL+"/metrics", "text/plain", strings.NewReader(""))
+	resp, err = http.Post(ts.URL+"/v1/metrics", "text/plain", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,18 +642,18 @@ func TestHTTPErrorCounter(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/delete", "application/json", strings.NewReader(`{"key": 999}`))
+	resp, err := http.Post(ts.URL+"/v1/delete", "application/json", strings.NewReader(`{"key": 999}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), `cfdserve_http_errors_total{path="/delete"} 1`+"\n") {
+	if !strings.Contains(string(raw), `cfdserve_http_errors_total{path="/v1/delete"} 1`+"\n") {
 		t.Errorf("404 not counted as an error:\n%s", raw)
 	}
 }

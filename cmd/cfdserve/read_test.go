@@ -70,11 +70,11 @@ func TestViolationsETag(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	code, etag, _ := readViolations(t, ts, "/violations", "")
+	code, etag, _ := readViolations(t, ts, "/v1/violations", "")
 	if code != http.StatusOK || etag == "" {
 		t.Fatalf("first read: code=%d etag=%q", code, etag)
 	}
-	code, etag2, _ := readViolations(t, ts, "/violations", etag)
+	code, etag2, _ := readViolations(t, ts, "/v1/violations", etag)
 	if code != http.StatusNotModified {
 		t.Fatalf("conditional re-read: code=%d, want 304", code)
 	}
@@ -83,10 +83,10 @@ func TestViolationsETag(t *testing.T) {
 	}
 
 	// A write that changes the violation set invalidates the tag.
-	mutate(t, ts, "/insert", map[string]any{
+	mutate(t, ts, "/v1/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
-	code, etag3, vr := readViolations(t, ts, "/violations", etag)
+	code, etag3, vr := readViolations(t, ts, "/v1/violations", etag)
 	if code != http.StatusOK || vr == nil || vr.Total != 2 {
 		t.Fatalf("post-write conditional read: code=%d resp=%+v", code, vr)
 	}
@@ -102,11 +102,11 @@ func TestViolationsPagination(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	mutate(t, ts, "/insert", map[string]any{
+	mutate(t, ts, "/v1/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
 
-	_, _, all := readViolations(t, ts, "/violations", "")
+	_, _, all := readViolations(t, ts, "/v1/violations", "")
 	if all.Total != 2 {
 		t.Fatalf("unpaginated total = %d, want 2", all.Total)
 	}
@@ -114,7 +114,7 @@ func TestViolationsPagination(t *testing.T) {
 	var got int
 	cursor := ""
 	for page := 0; ; page++ {
-		path := "/violations?limit=1"
+		path := "/v1/violations?limit=1"
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
@@ -138,12 +138,12 @@ func TestViolationsPagination(t *testing.T) {
 	}
 
 	// First page again, then write: its cursor must now be refused.
-	_, _, first := readViolations(t, ts, "/violations?limit=1", "")
+	_, _, first := readViolations(t, ts, "/v1/violations?limit=1", "")
 	if first.NextCursor == "" {
 		t.Fatal("limit=1 page has no next_cursor")
 	}
-	mutate(t, ts, "/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"})
-	code, _, _ := readViolations(t, ts, "/violations?limit=1&cursor="+first.NextCursor, "")
+	mutate(t, ts, "/v1/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"})
+	code, _, _ := readViolations(t, ts, "/v1/violations?limit=1&cursor="+first.NextCursor, "")
 	if code != http.StatusGone {
 		t.Fatalf("stale cursor: code=%d, want 410", code)
 	}
@@ -155,7 +155,7 @@ func TestViolationsPointLookup(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	mutate(t, ts, "/insert", map[string]any{
+	mutate(t, ts, "/v1/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
 
@@ -171,7 +171,7 @@ func TestViolationsPointLookup(t *testing.T) {
 		return resp.StatusCode, m
 	}
 
-	code, m := get("/violations?key=2")
+	code, m := get("/v1/violations?key=2")
 	if code != http.StatusOK {
 		t.Fatalf("point lookup: code=%d", code)
 	}
@@ -181,7 +181,7 @@ func TestViolationsPointLookup(t *testing.T) {
 	}
 	// Mike (key 0) shares Rick's (CC, AC, PN) group, so the lookup must
 	// surface the variable violation from the member's side too.
-	code, m = get("/violations?key=0")
+	code, m = get("/v1/violations?key=0")
 	if code != http.StatusOK {
 		t.Fatalf("group member: code=%d", code)
 	}
@@ -189,20 +189,20 @@ func TestViolationsPointLookup(t *testing.T) {
 		t.Fatalf("group member total = %s, want 1", m["total"])
 	}
 	// Joe (key 1) exists but violates nothing.
-	code, m = get("/violations?key=1")
+	code, m = get("/v1/violations?key=1")
 	if code != http.StatusOK {
 		t.Fatalf("clean key: code=%d", code)
 	}
 	if err := json.Unmarshal(m["total"], &total); err != nil || total != 0 {
 		t.Fatalf("clean key total = %s, want 0", m["total"])
 	}
-	if code, _ := get("/violations?key=999"); code != http.StatusNotFound {
+	if code, _ := get("/v1/violations?key=999"); code != http.StatusNotFound {
 		t.Fatalf("absent key: code=%d, want 404", code)
 	}
-	if code, _ := get("/violations?key=abc"); code != http.StatusBadRequest {
+	if code, _ := get("/v1/violations?key=abc"); code != http.StatusBadRequest {
 		t.Fatalf("junk key: code=%d, want 400", code)
 	}
-	if code, _ := get("/violations?cfd=99"); code != http.StatusBadRequest {
+	if code, _ := get("/v1/violations?cfd=99"); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range cfd filter: code=%d, want 400", code)
 	}
 }

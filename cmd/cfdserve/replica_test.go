@@ -71,24 +71,24 @@ func TestHTTPReplication(t *testing.T) {
 	defer fts.Close()
 
 	// A dirty write on the primary ships to the follower.
-	code, res := postJSON(t, pts.URL+"/insert", `{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
+	code, res := postJSON(t, pts.URL+"/v1/insert", `{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("primary insert: %d %v", code, res)
 	}
 	if _, err := f.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	code, fv := getJSONCode(t, fts.URL+"/violations")
+	code, fv := getJSONCode(t, fts.URL+"/v1/violations")
 	if code != http.StatusOK {
 		t.Fatalf("follower violations: %d", code)
 	}
-	_, pv := getJSONCode(t, pts.URL+"/violations")
+	_, pv := getJSONCode(t, pts.URL+"/v1/violations")
 	if fmt.Sprint(fv["total"]) != fmt.Sprint(pv["total"]) || fmt.Sprint(fv["total"]) == "0" {
 		t.Fatalf("follower total %v, primary %v", fv["total"], pv["total"])
 	}
 
 	// Replica stats: present, caught up, following.
-	code, st := getJSONCode(t, fts.URL+"/stats")
+	code, st := getJSONCode(t, fts.URL+"/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("follower stats: %d", code)
 	}
@@ -104,45 +104,45 @@ func TestHTTPReplication(t *testing.T) {
 	}
 
 	// Mutations and snapshot rolls are conflicts on a follower.
-	if code, res = postJSON(t, fts.URL+"/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`); code != http.StatusConflict {
+	if code, res = postJSON(t, fts.URL+"/v1/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`); code != http.StatusConflict {
 		t.Fatalf("follower insert: %d %v, want 409", code, res)
 	}
-	if code, res = postJSON(t, fts.URL+"/apply", `{"ops":[{"op":"delete","key":0}]}`); code != http.StatusConflict {
+	if code, res = postJSON(t, fts.URL+"/v1/apply", `{"ops":[{"op":"delete","key":0}]}`); code != http.StatusConflict {
 		t.Fatalf("follower apply: %d %v, want 409", code, res)
 	}
-	if code, res = postJSON(t, fts.URL+"/snapshot", ``); code != http.StatusConflict {
+	if code, res = postJSON(t, fts.URL+"/v1/snapshot", ``); code != http.StatusConflict {
 		t.Fatalf("follower snapshot: %d %v, want 409", code, res)
 	}
 	// /promote on a primary is a conflict too.
-	if code, res = postJSON(t, pts.URL+"/promote", ``); code != http.StatusConflict {
+	if code, res = postJSON(t, pts.URL+"/v1/promote", ``); code != http.StatusConflict {
 		t.Fatalf("primary promote: %d %v, want 409", code, res)
 	}
 
 	// Stream cursor validation.
-	if code, _ = getJSONCode(t, pts.URL+"/wal/stream?from=zap"); code != http.StatusBadRequest {
+	if code, _ = getJSONCode(t, pts.URL+"/v1/wal/stream?from=zap"); code != http.StatusBadRequest {
 		t.Fatalf("bad cursor: %d, want 400", code)
 	}
-	if code, _ = getJSONCode(t, pts.URL+"/wal/stream?from=99,0"); code != http.StatusInternalServerError {
+	if code, _ = getJSONCode(t, pts.URL+"/v1/wal/stream?from=99,0"); code != http.StatusInternalServerError {
 		t.Fatalf("future cursor: %d, want 500", code)
 	}
 
 	// Promote the follower; it starts accepting writes at its boundary.
-	code, res = postJSON(t, fts.URL+"/promote", ``)
+	code, res = postJSON(t, fts.URL+"/v1/promote", ``)
 	if code != http.StatusOK || res["promoted"] != true {
 		t.Fatalf("promote: %d %v", code, res)
 	}
-	code, res = postJSON(t, fts.URL+"/promote", ``) // idempotent
+	code, res = postJSON(t, fts.URL+"/v1/promote", ``) // idempotent
 	if code != http.StatusOK {
 		t.Fatalf("re-promote: %d %v", code, res)
 	}
-	code, res = postJSON(t, fts.URL+"/update", `{"key":2,"attr":"CT","value":"MH"}`)
+	code, res = postJSON(t, fts.URL+"/v1/update", `{"key":2,"attr":"CT","value":"MH"}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-promotion update: %d %v", code, res)
 	}
 	if fsrv.mon().ViolationCount() != 0 {
 		t.Fatalf("healing update left %d violations", fsrv.mon().ViolationCount())
 	}
-	if code, _ = getJSONCode(t, fts.URL+"/stats"); code != http.StatusOK {
+	if code, _ = getJSONCode(t, fts.URL+"/v1/stats"); code != http.StatusOK {
 		t.Fatal("stats after promotion failed")
 	}
 	if err := fsrv.closeReplica(); err != nil {
@@ -153,7 +153,7 @@ func TestHTTPReplication(t *testing.T) {
 // getStats fetches /stats and reports whether a replica block exists.
 func getStats(t *testing.T, base string) (map[string]any, bool) {
 	t.Helper()
-	_, st := getJSONCode(t, base+"/stats")
+	_, st := getJSONCode(t, base+"/v1/stats")
 	_, ok := st["replica"]
 	return st, ok
 }
@@ -163,11 +163,11 @@ func TestWALEndpointsRequireDurable(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	if code, _ := getJSONCode(t, ts.URL+"/wal/snapshot"); code != http.StatusConflict {
-		t.Fatalf("/wal/snapshot on memory node: %d, want 409", code)
+	if code, _ := getJSONCode(t, ts.URL+"/v1/wal/snapshot"); code != http.StatusConflict {
+		t.Fatalf("/v1/wal/snapshot on memory node: %d, want 409", code)
 	}
-	if code, _ := getJSONCode(t, ts.URL+"/wal/stream?from=0,0"); code != http.StatusConflict {
-		t.Fatalf("/wal/stream on memory node: %d, want 409", code)
+	if code, _ := getJSONCode(t, ts.URL+"/v1/wal/stream?from=0,0"); code != http.StatusConflict {
+		t.Fatalf("/v1/wal/stream on memory node: %d, want 409", code)
 	}
 }
 

@@ -21,11 +21,11 @@
 // a hot-standby follower tails the durable node's WAL segments into its
 // own directory, serves reads while refusing writes, and is promoted to
 // a writable primary at the exact record boundary it has applied — the
-// failover path cfdserve runs with -follow and POST /promote. The
+// failover path cfdserve runs with -follow and POST /v1/promote. The
 // eighth act scrapes the observability surface: every monitor carries a metrics
 // registry (apply-stage latencies, WAL timings, violation-delta
 // counters) that renders in the Prometheus text format — cfdserve serves
-// the same thing as GET /metrics.
+// the same thing as GET /v1/metrics.
 package main
 
 import (
@@ -150,7 +150,7 @@ func main() {
 	// Serving reads never rescans: Violations() answers from an
 	// O(delta)-maintained view — an atomic pointer load whose version
 	// advances only when the violation set actually changes. That
-	// version is the ETag cfdserve hands to GET /violations pollers: an
+	// version is the ETag cfdserve hands to GET /v1/violations pollers: an
 	// unchanged version is a guaranteed 304.
 	fmt.Printf("view version %d: %d live violation(s)\n", m.ViewVersion(), m.Violations().Total())
 	// A write no CFD cares about leaves the version alone...
@@ -165,7 +165,7 @@ func main() {
 	}
 	fmt.Printf("after a dirty update: version %d, %d violation(s)\n", m.ViewVersion(), m.Violations().Total())
 	// Point lookups skip the view entirely and probe the per-key
-	// stores — the GET /violations?key=N path.
+	// stores — the GET /v1/violations?key=N path.
 	per, ok := m.ViolationsFor(eveKey)
 	fmt.Printf("ViolationsFor(Eve, key %d): exists = %v, %d violation(s) touch her\n\n", eveKey, ok, per.Total())
 
@@ -287,7 +287,7 @@ func main() {
 		dir, resumed.Recovered(), resumed.Len(), resumed.ViolationCount())
 
 	// ForceSnapshot folds the log into a fresh generation — what cfdserve
-	// does on POST /snapshot and on every graceful shutdown.
+	// does on POST /v1/snapshot and on every graceful shutdown.
 	if err := resumed.ForceSnapshot(); err != nil {
 		log.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func main() {
 	// primary's WAL — snapshot first, then record-aligned segment chunks
 	// — into its OWN directory, applying each record through the same
 	// replay path recovery uses. In production the chunks travel over
-	// cfdserve's GET /wal/snapshot and /wal/stream; in-process the same
+	// cfdserve's GET /v1/wal/snapshot and /v1/wal/stream; in-process the same
 	// protocol runs through NewMonitorChunkSource.
 	ctx := context.Background()
 	fdir, err := os.MkdirTemp("", "monitoring-follower-")
@@ -338,7 +338,7 @@ func main() {
 
 	// The primary dies; promotion flips the standby into a writable
 	// primary at the record boundary it has applied — no re-seed, no
-	// replay from scratch. cfdserve does this on POST /promote (or
+	// replay from scratch. cfdserve does this on POST /v1/promote (or
 	// automatically with -promote-after).
 	if err := resumed.Close(); err != nil {
 		log.Fatal(err)
@@ -357,7 +357,7 @@ func main() {
 	// MonitorOptions.Metrics shares the process-global DefaultMetrics).
 	// The promoted standby's scrape below shows the whole serving path
 	// it lived through — replica ship counters included — in the same
-	// Prometheus text format cfdserve serves on GET /metrics.
+	// Prometheus text format cfdserve serves on GET /v1/metrics.
 	var scrape strings.Builder
 	if err := standby.Metrics().WritePrometheus(&scrape); err != nil {
 		log.Fatal(err)

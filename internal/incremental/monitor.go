@@ -66,6 +66,7 @@
 package incremental
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -242,6 +243,10 @@ func New(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, er
 	return m, nil
 }
 
+// ErrInconsistent reports a CFD set no nonempty instance can satisfy.
+// Every constructor refuses one.
+var ErrInconsistent = errors.New("incremental: the CFD set is inconsistent: no nonempty instance can satisfy it")
+
 // build constructs the in-memory monitor without any journal wiring.
 func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, error) {
 	shards := opts.Shards
@@ -295,6 +300,13 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			ai := schema.MustIndex(a)
 			m.attrCFDs[ai] = append(m.attrCFDs[ai], i)
 		}
+	}
+	// An inconsistent Σ is satisfied by no nonempty instance (paper
+	// §3.1): every tuple would be a violation forever.
+	if ok, _, err := core.Consistent(schema, sigma); err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	} else if !ok {
+		return nil, ErrInconsistent
 	}
 	m.view.init(len(sigma))
 	if opts.GroupCommit.enabled() {

@@ -108,3 +108,59 @@ func TestOpenFromWALDirectory(t *testing.T) {
 			re.Recovered(), re.Len(), re.ViolationCount(), wantLen, wantViol)
 	}
 }
+
+// Every constructor refuses a Σ no nonempty instance satisfies. This Σ
+// is inconsistent only through A's finite domain, so the check must use
+// the schema: New and Load get it from the caller, Open from the
+// snapshot (NewFollower boots through Open).
+func TestConstructorsRejectInconsistentSigma(t *testing.T) {
+	schema := relation.MustSchema("R",
+		relation.Attribute{Name: "A", Domain: relation.Bool()}, relation.Attr("B"))
+	bad, err := core.ParseSet("[A=true] -> [B=x]\n[A=true] -> [B=y]\n[A=false] -> [B=x]\n[A=false] -> [B=y]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := core.ParseSet("[A] -> [B]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, err := incremental.New(schema, good, incremental.Options{Durable: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (*incremental.Monitor, error)
+	}{
+		{"New", func() (*incremental.Monitor, error) { return incremental.New(schema, bad, incremental.Options{}) }},
+		{"Load", func() (*incremental.Monitor, error) {
+			return incremental.Load(relation.New(schema), bad, incremental.Options{})
+		}},
+		{"Open", func() (*incremental.Monitor, error) { return incremental.Open(bad, incremental.Options{Durable: dir}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := tc.open()
+			if !errors.Is(err, incremental.ErrInconsistent) {
+				if m != nil {
+					m.Close()
+				}
+				t.Fatalf("err = %v, want ErrInconsistent", err)
+			}
+		})
+	}
+	// A refused Open holds no lock on the directory.
+	m, err = incremental.Open(good, incremental.Options{Durable: dir})
+	if err != nil {
+		t.Fatalf("reopen with the consistent Σ: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
